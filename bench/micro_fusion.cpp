@@ -3,8 +3,9 @@
 // histogram — consuming a pre-produced stream, run unfused (every hop pays
 // a publish/acquire round-trip, an FFS encode/decode, and a scheduling
 // handoff per step) and fused (one unit, composed kernels, zero
-// intermediate streams).  The source runs ahead into a deep queue so the
-// analysis pipeline, not production, dominates.
+// intermediate streams).  The source is a workflow instance publishing
+// pre-generated steps into a deep queue, so the analysis pipeline, not
+// production, dominates.
 //
 // The spooled variant additionally routes every buffered step through
 // packet files on disk; fusion's win grows because the three intermediate
@@ -15,12 +16,11 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/registry.hpp"
 #include "flexpath/writer.hpp"
 #include "util/timer.hpp"
 
@@ -36,32 +36,73 @@ struct FusionCase {
     int procs = 0;            // ranks of every analysis component
 };
 
+/// The source's array: [atoms, 3] doubles.
+const std::string kArray = "v";
+
+/// The source's steps, generated once before any timed run so each run
+/// pays only the publish.
+std::vector<std::vector<double>> g_blocks;
+
+void generate_blocks(const FusionCase& fc) {
+    g_blocks.assign(fc.steps, std::vector<double>(fc.atoms * 3));
+    for (std::uint64_t t = 0; t < fc.steps; ++t) {
+        std::vector<double>& block = g_blocks[t];
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            block[i] = 2.0 * std::sin(0.001 * static_cast<double>(i + t));
+        }
+    }
+}
+
+/// "fusion-source out-stream-name atoms": publishes g_blocks as kArray.  A
+/// workflow instance with declared ports and contract, so the chain it feeds
+/// passes the default lint gate.
+class FusionSource final : public core::Component {
+public:
+    std::string name() const override { return "fusion-source"; }
+    std::string usage() const override { return "fusion-source out-stream-name atoms"; }
+    core::Ports ports(const u::ArgList& args) const override {
+        args.require_at_least(2, usage());
+        return core::Ports{{}, {args.str(0, "out-stream-name")}};
+    }
+    core::Contract contract(const u::ArgList& args) const override {
+        args.require_at_least(2, usage());
+        core::Contract c;
+        c.known = true;
+        core::OutputContract out;
+        out.stream = args.str(0, "out-stream-name");
+        out.array = kArray;
+        out.rule = core::OutputContract::Shape::Source;
+        out.kind = core::OutputContract::Kind::Float64;
+        out.shape = {core::SymDim::constant(args.unsigned_integer(1, "atoms")),
+                     core::SymDim::constant(3)};
+        c.outputs.push_back(std::move(out));
+        return c;
+    }
+    void run(core::RunContext& ctx, const u::ArgList& args) override {
+        const u::NdShape shape{args.unsigned_integer(1, "atoms"), 3};
+        fp::WriterPort port(ctx.fabric, args.str(0, "out-stream-name"), ctx.comm.rank(),
+                            ctx.comm.size(), ctx.stream_options);
+        for (const std::vector<double>& block : g_blocks) {
+            port.declare(fp::VarDecl{kArray, fp::DataKind::Float64, shape, {}});
+            port.put<double>(kArray, u::Box::whole(shape), block);
+            port.end_step();
+        }
+        port.close();
+    }
+};
+
 /// End-to-end seconds for the 4-component chain under one fusion mode.
 double run_chain(const FusionCase& fc, core::FusionMode mode,
                  const std::string& spool_dir) {
     fp::Fabric fabric;
+    // Deep queue: the source publishes the whole run up front where
+    // capacity allows, so consumers never wait on production.
     fp::StreamOptions opts(8, spool_dir);
-    const u::NdShape shape{fc.atoms, 3};
-
-    // Deep-queued source: publishes the whole run up front where capacity
-    // allows, so consumers never wait on production.
-    std::jthread source([&] {
-        fp::WriterPort port(fabric, "src.fp", 0, 1, opts);
-        std::vector<double> block(shape.volume());
-        for (std::uint64_t t = 0; t < fc.steps; ++t) {
-            for (std::size_t i = 0; i < block.size(); ++i) {
-                block[i] = 2.0 * std::sin(0.001 * static_cast<double>(i + t));
-            }
-            port.declare(fp::VarDecl{"v", fp::DataKind::Float64, shape, {}});
-            port.put<double>("v", u::Box::whole(shape), block);
-            port.end_step();
-        }
-        port.close();
-    });
 
     const std::string hist = "/tmp/sb_bench_micro_fusion_hist.txt";
     core::Workflow wf(fabric, opts);
     wf.set_fusion(mode);
+    wf.add("fusion-source", 1, {"src.fp", std::to_string(fc.atoms)});
     wf.add("magnitude", fc.procs, {"src.fp", "v", "m.fp", "mag"});
     wf.add("downsample", fc.procs, {"m.fp", "mag", "0", "2", "d.fp", "dmag"});
     wf.add("threshold", fc.procs, {"d.fp", "dmag", "above", "1.0", "t.fp", "tmag"});
@@ -87,6 +128,9 @@ int main(int argc, char** argv) {
     const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
     const FusionCase fc = smoke ? FusionCase{4, 4096, 2} : FusionCase{16, 65536, 2};
     const int reps = smoke ? 1 : 3;
+    core::register_component("fusion-source",
+                             [] { return std::make_unique<FusionSource>(); });
+    generate_blocks(fc);
 
     sb::bench::print_header(
         "micro: operator fusion of a 4-component analysis chain",

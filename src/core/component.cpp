@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "core/fusion.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -78,6 +79,38 @@ std::uint64_t StepStats::steps() const {
     std::uint64_t hi = 0;
     for (const Sample& s : samples_) hi = std::max(hi, s.step + 1);
     return hi;
+}
+
+void Component::run(RunContext& ctx, const util::ArgList& args) {
+    const std::optional<FusedStage> st = stage(args);
+    if (!st) throw std::logic_error(name() + ": component has neither run() nor a stage");
+    if (!st->arg_errors.empty()) throw util::ArgError(st->arg_errors.front());
+    run_fused_chain(ctx, FusedChain{{*st}}, {FusedStageHooks{ctx.instance, ctx.stats}});
+}
+
+Ports Component::ports(const util::ArgList& args) const {
+    const std::optional<FusedStage> st = stage(args);
+    if (!st) return Ports{{}, {}, false};
+    Ports p{{st->in_stream}, {}};
+    if (!st->out_stream.empty()) p.outputs.push_back(st->out_stream);
+    return p;
+}
+
+Contract stage_contract(const FusedStage& st) {
+    Contract c;
+    c.known = true;
+    c.param_errors = st.arg_errors;
+    InputContract in;
+    in.stream = st.in_stream;
+    in.array = st.in_array;
+    c.inputs.push_back(std::move(in));
+    if (!st.out_stream.empty()) {
+        OutputContract out;
+        out.stream = st.out_stream;
+        out.array = st.out_array;
+        c.outputs.push_back(std::move(out));
+    }
+    return c;
 }
 
 std::string header_attr_key(const std::string& array, std::size_t dim) {

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "adios/reader.hpp"
 #include "adios/writer.hpp"
 #include "core/contract.hpp"
+#include "core/kernels.hpp"
 #include "mpi/runtime.hpp"
 #include "util/argparse.hpp"
 
@@ -128,6 +130,59 @@ struct Ports {
     bool known = true;
 };
 
+/// One fusible component's launch arguments, parsed once (Component::stage).
+/// A standalone run executes it as a one-stage chain and the fusion planner
+/// (core/fusion.hpp) strings several together; both use the same executor.
+struct FusedStage {
+    enum class Kind {
+        Select,
+        Magnitude,
+        Threshold,
+        DimReduce,
+        Downsample,
+        Histogram,
+        Moments,
+    };
+    Kind kind = Kind::Magnitude;
+    std::size_t instance = 0;  // workflow instance index (add() order)
+    std::string component;     // registry name ("dim-reduce", ...)
+    std::string in_stream;
+    std::string in_array;
+    std::string out_stream;  // empty for the file-endpoint kinds
+    std::string out_array;
+    std::string out_file;  // Histogram / Moments
+
+    std::size_t dim = 0;              // Select / Downsample
+    std::vector<std::string> wanted;  // Select
+    kernels::ThresholdOp tmode = kernels::ThresholdOp::Above;
+    double lo = 0.0;  // Threshold
+    double hi = 0.0;
+    std::size_t remove = 0;  // Dim-Reduce
+    std::size_t grow = 0;
+    std::uint64_t stride = 1;  // Downsample
+    std::size_t bins = 0;      // Histogram
+
+    /// Malformed argument values (a non-number, an unknown mode, a zero
+    /// stride or bin count, an inverted band), in the order the arguments
+    /// are read.  run() throws the first as util::ArgError before opening a
+    /// stream; contract() reports them all as param_errors; the planner
+    /// leaves the instance unfused.
+    std::vector<std::string> arg_errors;
+};
+
+/// For Component::stage: returns parse(), or records the util::ArgError it
+/// throws in st.arg_errors and returns a value-initialized result, so a bad
+/// value never hides the stage's streams from ports().
+template <class Parse>
+auto stage_arg(FusedStage& st, Parse&& parse) -> decltype(parse()) {
+    try {
+        return parse();
+    } catch (const util::ArgError& e) {
+        st.arg_errors.emplace_back(e.what());
+        return {};
+    }
+}
+
 /// Base class of all SmartBlock components (analytics, sources, endpoints).
 class Component {
 public:
@@ -139,16 +194,26 @@ public:
     /// One-line usage string, in the style of the paper's Figs. 1-3.
     virtual std::string usage() const = 0;
 
-    /// Runs this rank of the component to end of stream.  Called once.
-    virtual void run(RunContext& ctx, const util::ArgList& args) = 0;
+    /// The component's fusible stage for these arguments: the one parse
+    /// that run(), ports(), contract() and the fusion planner share.  Throws
+    /// util::ArgError only when arguments are missing; malformed values go
+    /// to FusedStage::arg_errors.  The default, nullopt, means "not
+    /// fusible" — such a component overrides run() and ports() itself.
+    virtual std::optional<FusedStage> stage(const util::ArgList& args) const {
+        (void)args;
+        return std::nullopt;
+    }
+
+    /// Runs this rank of the component to end of stream.  Called once.  The
+    /// default runs stage(args) as a one-stage chain on the fused executor
+    /// (core/fusion.hpp), reporting under ctx.instance / ctx.stats.
+    virtual void run(RunContext& ctx, const util::ArgList& args);
 
     /// Declares the streams run() would open for these arguments.  Throws
-    /// util::ArgError for malformed arguments (same validation as run()).
-    /// The default declares nothing and marks the ports unknown.
-    virtual Ports ports(const util::ArgList& args) const {
-        (void)args;
-        return Ports{{}, {}, false};
-    }
+    /// util::ArgError for missing arguments (same validation as run()).
+    /// The default names stage()'s streams, or — for a component with no
+    /// stage — declares nothing and marks the ports unknown.
+    virtual Ports ports(const util::ArgList& args) const;
 
     /// The component's static contract for these arguments (core/contract.hpp):
     /// per-port arrays, rank/kind requirements, shape transforms, and header
@@ -160,6 +225,11 @@ public:
         return Contract{};
     }
 };
+
+/// The part of a fusible component's contract its stage alone determines:
+/// known, the input stream/array, the output stream/array (when the stage
+/// publishes one), and st.arg_errors as param_errors.
+Contract stage_contract(const FusedStage& st);
 
 // ---- helpers shared by the generic components ----------------------------
 
@@ -194,7 +264,8 @@ struct AttrSet {
 AttrSet apply_attr_rules(const AttrSet& in, const AttrRules& rules);
 
 /// Copies the current step's attributes from `in` to `out` through
-/// apply_attr_rules — the standalone components' per-hop propagation.
+/// apply_attr_rules — the per-hop propagation of the components that run
+/// their own step loop (Fork, Transpose, All-Pairs, ...).
 void propagate_attributes(const adios::Reader& in, adios::Writer& out,
                           const AttrRules& rules);
 

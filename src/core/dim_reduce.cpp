@@ -1,11 +1,9 @@
 #include "core/dim_reduce.hpp"
 
 #include <cstring>
-#include <optional>
 #include <span>
 
 #include "core/kernels.hpp"
-#include "util/timer.hpp"
 
 namespace sb::core {
 
@@ -86,90 +84,18 @@ void dim_reduce_copy(std::span<const std::byte> src, const util::NdShape& in_sha
     }
 }
 
-void DimReduce::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> DimReduce::stage(const util::ArgList& args) const {
     args.require_at_least(6, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const std::size_t remove = args.unsigned_integer(2, "dim-to-remove");
-    const std::size_t grow = args.unsigned_integer(3, "dim-to-grow");
-    const std::string out_stream = args.str(4, "output-stream-name");
-    const std::string out_array = args.str(5, "output-array-name");
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-    std::optional<adios::Writer> writer;
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        const util::NdShape& shape = info.shape;
-        const util::NdShape out_shape = dim_reduce_shape(shape, remove, grow);
-
-        // Partition along the grow dimension: a rank's slab then maps to a
-        // contiguous hyperslab of the output (offset scaled by the removed
-        // extent), which keeps the MxN redistribution box-expressible.
-        const util::Box in_box = util::partition_along(shape, grow, rank, size);
-        const std::size_t elem = ffs::kind_size(info.kind);
-        std::vector<std::byte> owned;
-        std::span<const std::byte> local;
-        if (const auto view = reader.try_read_view_bytes(in_array, in_box)) {
-            local = *view;  // slab is exactly one writer block: zero-copy
-        } else {
-            owned.resize(in_box.volume() * elem);
-            reader.read_bytes(in_array, in_box, owned);
-            local = owned;
-        }
-
-        const util::NdShape local_shape(in_box.count);
-
-        // The grown output dimension's index within the output array.
-        const std::size_t grow_out = grow - (remove < grow ? 1 : 0);
-        util::Box out_box = util::Box::whole(out_shape);
-        out_box.offset[grow_out] = in_box.offset[grow] * shape[remove];
-        out_box.count[grow_out] = in_box.count[grow] * shape[remove];
-
-        // Output dimension labels: the grown dimension keeps its label; the
-        // removed one disappears.
-        std::vector<std::string> labels;
-        std::vector<std::size_t> dim_map;
-        for (std::size_t d = 0; d < shape.ndim(); ++d) {
-            if (d == remove) continue;
-            labels.push_back(d < info.dim_labels.size() ? info.dim_labels[d]
-                                                        : std::string{});
-            dim_map.push_back(d);
-        }
-
-        if (!writer) {
-            writer.emplace(ctx.fabric, out_stream,
-                           output_group("dim-reduce", out_array, labels, info.kind),
-                           rank, size, ctx.stream_options);
-        }
-        writer->begin_step();
-        const auto& dim_names = writer->group().find(out_array)->dimensions;
-        for (std::size_t d = 0; d < out_shape.ndim(); ++d) {
-            writer->set_dimension(dim_names[d], out_shape[d]);
-        }
-        // Headers of both the removed and the grown dimension are
-        // invalidated by the re-arrangement; the rest propagate re-indexed.
-        propagate_attributes(reader, *writer,
-                             AttrRules{in_array, out_array, dim_map, {remove, grow}});
-        // The permutation writes straight into the pooled step buffer
-        // (dim_reduce_copy touches every output element exactly once).
-        const std::span<std::byte> out_view = writer->put_view(out_array, out_box);
-        dim_reduce_copy(local, local_shape, remove, grow, out_view, elem);
-        writer->end_step();
-
-        record_step(ctx, reader.step(), timer.seconds(), local.size(), out_view.size());
-        reader.end_step();
-    }
-    if (!writer) {
-        writer.emplace(ctx.fabric, out_stream, output_group("dim-reduce", out_array, {}),
-                       rank, size, ctx.stream_options);
-    }
-    writer->close();
+    FusedStage st;
+    st.kind = FusedStage::Kind::DimReduce;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    st.remove = stage_arg(st, [&] { return args.unsigned_integer(2, "dim-to-remove"); });
+    st.grow = stage_arg(st, [&] { return args.unsigned_integer(3, "dim-to-grow"); });
+    st.out_stream = args.str(4, "output-stream-name");
+    st.out_array = args.str(5, "output-array-name");
+    return st;
 }
 
 }  // namespace sb::core

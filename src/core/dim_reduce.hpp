@@ -30,39 +30,25 @@ public:
         return "dim-reduce input-stream-name input-array-name dim-to-remove "
                "dim-to-grow output-stream-name output-array-name";
     }
-    Ports ports(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        return Ports{{args.str(0, "input-stream-name")},
-                     {args.str(4, "output-stream-name")}};
-    }
+    std::optional<FusedStage> stage(const util::ArgList& args) const override;
     Contract contract(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        const std::size_t remove = args.unsigned_integer(2, "dim-to-remove");
-        const std::size_t grow = args.unsigned_integer(3, "dim-to-grow");
-        Contract c;
-        c.known = true;
-        if (remove == grow) {
+        const FusedStage st = *stage(args);
+        Contract c = stage_contract(st);
+        if (st.remove == st.grow) {
             c.param_errors.push_back(
                 "dim-reduce: dim-to-remove and dim-to-grow are both " +
-                std::to_string(remove) + " (they must differ)");
+                std::to_string(st.remove) + " (they must differ)");
         }
-        InputContract in;
-        in.stream = args.str(0, "input-stream-name");
-        in.array = args.str(1, "input-array-name");
-        in.dim_params["dim-to-remove"] = remove;
-        in.dim_params["dim-to-grow"] = grow;
-        in.min_rank = std::max(remove, grow) + 1;
-        c.inputs.push_back(std::move(in));
-        OutputContract out;
-        out.stream = args.str(4, "output-stream-name");
-        out.array = args.str(5, "output-array-name");
+        InputContract& in = c.inputs.front();
+        in.dim_params["dim-to-remove"] = st.remove;
+        in.dim_params["dim-to-grow"] = st.grow;
+        in.min_rank = std::max(st.remove, st.grow) + 1;
+        OutputContract& out = c.outputs.front();
         out.rule = OutputContract::Shape::AbsorbDim;
-        out.dim = remove;
-        out.dim2 = grow;
-        c.outputs.push_back(std::move(out));
+        out.dim = st.remove;
+        out.dim2 = st.grow;
         return c;
     }
-    void run(RunContext& ctx, const util::ArgList& args) override;
 };
 
 /// The layout kernel, exposed for unit tests and the micro benchmarks:

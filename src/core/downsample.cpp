@@ -1,100 +1,22 @@
 #include "core/downsample.hpp"
 
-#include <optional>
-
-#include "util/timer.hpp"
-
 namespace sb::core {
 
-void Downsample::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> Downsample::stage(const util::ArgList& args) const {
     args.require_at_least(6, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const std::size_t dim = args.unsigned_integer(2, "dimension-index");
-    const std::uint64_t stride = args.unsigned_integer(3, "stride");
-    const std::string out_stream = args.str(4, "output-stream-name");
-    const std::string out_array = args.str(5, "output-array-name");
-    if (stride == 0) throw util::ArgError("downsample: stride must be positive");
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-    std::optional<adios::Writer> writer;
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        const util::NdShape& shape = info.shape;
-        if (dim >= shape.ndim()) {
-            throw std::runtime_error("downsample: dimension-index " +
-                                     std::to_string(dim) + " out of range for " +
-                                     shape.to_string());
-        }
-        const std::uint64_t kept = (shape[dim] + stride - 1) / stride;
-
-        // Partition along the sampled dimension itself, in units of kept
-        // rows, so each output block stays a contiguous hyperslab.
-        const auto [k_off, k_cnt] = util::partition_range(kept, rank, size);
-        const std::size_t elem = ffs::kind_size(info.kind);
-
-        util::NdShape out_shape = shape;
-        out_shape[dim] = kept;
-        util::Box out_box = util::Box::whole(out_shape);
-        out_box.offset[dim] = k_off;
-        out_box.count[dim] = k_cnt;
-
-        if (!writer) {
-            writer.emplace(ctx.fabric, out_stream,
-                           output_group("downsample", out_array, info.dim_labels,
-                                        info.kind),
-                           rank, size, ctx.stream_options);
-        }
-        writer->begin_step();
-        const auto& dim_names = writer->group().find(out_array)->dimensions;
-        for (std::size_t d = 0; d < out_shape.ndim(); ++d) {
-            writer->set_dimension(dim_names[d], out_shape[d]);
-        }
-        // The sampled dimension's header shrinks to the kept rows; others
-        // propagate unchanged.
-        propagate_attributes(reader, *writer, AttrRules{in_array, out_array, {}, {dim}});
-        if (const auto header = reader.attribute_strings(header_attr_key(in_array, dim))) {
-            std::vector<std::string> filtered;
-            for (std::uint64_t i = 0; i < header->size(); i += stride) {
-                filtered.push_back((*header)[i]);
-            }
-            writer->write_attribute(header_attr_key(out_array, dim), filtered);
-        }
-
-        // Kept rows are copied straight into the pooled step buffer; they
-        // tile out_box, so every byte is written.
-        const std::span<std::byte> out_view = writer->put_view(out_array, out_box);
-        std::uint64_t bytes_in = 0;
-        std::vector<std::byte> tmp;
-        for (std::uint64_t j = 0; j < k_cnt; ++j) {
-            util::Box row_in = util::Box::whole(shape);
-            row_in.offset[dim] = (k_off + j) * stride;
-            row_in.count[dim] = 1;
-            tmp.resize(row_in.volume() * elem);
-            reader.read_bytes(in_array, row_in, tmp);
-            bytes_in += tmp.size();
-
-            util::Box row_out = out_box;
-            row_out.offset[dim] = k_off + j;
-            row_out.count[dim] = 1;
-            util::copy_box(tmp, row_out, out_view, out_box, row_out, elem);
-        }
-        writer->end_step();
-
-        record_step(ctx, reader.step(), timer.seconds(), bytes_in, out_view.size());
-        reader.end_step();
+    FusedStage st;
+    st.kind = FusedStage::Kind::Downsample;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    st.dim = stage_arg(st, [&] { return args.unsigned_integer(2, "dimension-index"); });
+    st.stride = stage_arg(st, [&] { return args.unsigned_integer(3, "stride"); });
+    st.out_stream = args.str(4, "output-stream-name");
+    st.out_array = args.str(5, "output-array-name");
+    if (st.arg_errors.empty() && st.stride == 0) {
+        st.arg_errors.emplace_back("downsample: stride must be positive");
     }
-    if (!writer) {
-        writer.emplace(ctx.fabric, out_stream,
-                       output_group("downsample", out_array, {}), rank, size,
-                       ctx.stream_options);
-    }
-    writer->close();
+    return st;
 }
 
 }  // namespace sb::core

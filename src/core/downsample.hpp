@@ -21,36 +21,19 @@ public:
         return "downsample input-stream-name input-array-name dimension-index "
                "stride output-stream-name output-array-name";
     }
-    Ports ports(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        return Ports{{args.str(0, "input-stream-name")},
-                     {args.str(4, "output-stream-name")}};
-    }
+    std::optional<FusedStage> stage(const util::ArgList& args) const override;
     Contract contract(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        const std::size_t dim = args.unsigned_integer(2, "dimension-index");
-        const std::uint64_t stride = args.unsigned_integer(3, "stride");
-        Contract c;
-        c.known = true;
-        if (stride == 0) {
-            c.param_errors.push_back("downsample: stride must be positive");
-        }
-        InputContract in;
-        in.stream = args.str(0, "input-stream-name");
-        in.array = args.str(1, "input-array-name");
-        in.dim_params["dimension-index"] = dim;
-        in.min_rank = dim + 1;
-        c.inputs.push_back(std::move(in));
-        OutputContract out;
-        out.stream = args.str(4, "output-stream-name");
-        out.array = args.str(5, "output-array-name");
+        const FusedStage st = *stage(args);
+        Contract c = stage_contract(st);
+        InputContract& in = c.inputs.front();
+        in.dim_params["dimension-index"] = st.dim;
+        in.min_rank = st.dim + 1;
+        OutputContract& out = c.outputs.front();
         out.rule = OutputContract::Shape::DivideDim;
-        out.dim = dim;
-        out.count = stride;
-        c.outputs.push_back(std::move(out));
+        out.dim = st.dim;
+        out.count = st.stride;
         return c;
     }
-    void run(RunContext& ctx, const util::ArgList& args) override;
 };
 
 }  // namespace sb::core

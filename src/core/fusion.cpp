@@ -17,6 +17,7 @@
 #include "core/histogram.hpp"
 #include "core/kernels.hpp"
 #include "core/moments.hpp"
+#include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/pool.hpp"
@@ -63,90 +64,18 @@ using Kind = FusedStage::Kind;
 
 bool is_sink(Kind k) { return k == Kind::Histogram || k == Kind::Moments; }
 
-/// Parses one candidate's arguments into a FusedStage, exactly mirroring the
-/// standalone component's validation.  Anything that does not parse (unknown
-/// component, malformed arguments) simply stays unfused — the standalone run
-/// then raises the same error the seed would.
-std::optional<FusedStage> parse_stage(const FusionCandidate& c, std::size_t index) {
-    FusedStage st;
-    st.instance = index;
-    st.component = c.component;
-    const util::ArgList& a = c.args;
+/// The candidate's stage when it can fuse: a registered component with a
+/// stage and well-formed arguments.  Anything else stays unfused, and its
+/// standalone run raises the error.
+std::optional<FusedStage> fusible_stage(const FusionCandidate& c, std::size_t index) {
+    std::optional<FusedStage> st;
     try {
-        if (c.component == "select") {
-            st.kind = Kind::Select;
-            a.require_at_least(6, "select");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.dim = a.unsigned_integer(2, "dimension-index");
-            st.out_stream = a.str(3, "output-stream-name");
-            st.out_array = a.str(4, "output-array-name");
-            st.wanted = a.rest(5);
-        } else if (c.component == "magnitude") {
-            st.kind = Kind::Magnitude;
-            a.require_at_least(4, "magnitude");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.out_stream = a.str(2, "output-stream-name");
-            st.out_array = a.str(3, "output-array-name");
-        } else if (c.component == "threshold") {
-            st.kind = Kind::Threshold;
-            a.require_at_least(6, "threshold");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.tmode = parse_threshold_mode(a.str(2, "mode"));
-            st.lo = a.real(3, "lo");
-            std::size_t next = 4;
-            if (st.tmode == ThresholdMode::Band) {
-                a.require_at_least(7, "threshold");
-                st.hi = a.real(next++, "hi");
-                if (st.hi < st.lo) return std::nullopt;  // run() raises ArgError
-            }
-            st.out_stream = a.str(next++, "output-stream-name");
-            st.out_array = a.str(next++, "output-array-name");
-        } else if (c.component == "dim-reduce") {
-            st.kind = Kind::DimReduce;
-            a.require_at_least(6, "dim-reduce");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.remove = a.unsigned_integer(2, "dim-to-remove");
-            st.grow = a.unsigned_integer(3, "dim-to-grow");
-            st.out_stream = a.str(4, "output-stream-name");
-            st.out_array = a.str(5, "output-array-name");
-        } else if (c.component == "downsample") {
-            st.kind = Kind::Downsample;
-            a.require_at_least(6, "downsample");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.dim = a.unsigned_integer(2, "dimension-index");
-            st.stride = a.unsigned_integer(3, "stride");
-            st.out_stream = a.str(4, "output-stream-name");
-            st.out_array = a.str(5, "output-array-name");
-            if (st.stride == 0) return std::nullopt;
-        } else if (c.component == "histogram") {
-            st.kind = Kind::Histogram;
-            a.require_at_least(3, "histogram");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.bins = a.unsigned_integer(2, "num-bins");
-            st.out_file = a.size() > 3 ? a.str(3, "output-file")
-                                       : "histogram_" + st.in_array + ".txt";
-            if (st.bins == 0) return std::nullopt;
-        } else if (c.component == "moments") {
-            st.kind = Kind::Moments;
-            a.require_at_least(2, "moments");
-            st.in_stream = a.str(0, "input-stream-name");
-            st.in_array = a.str(1, "input-array-name");
-            st.out_file = a.size() > 2 ? a.str(2, "output-file")
-                                       : "moments_" + st.in_array + ".txt";
-        } else {
-            return std::nullopt;
-        }
-    } catch (const util::ArgError&) {
-        return std::nullopt;
+        st = make_component(c.component)->stage(c.args);
+    } catch (const std::exception&) {
+        return std::nullopt;  // unknown component or missing arguments
     }
-    // Interior/tail stages read the elided stream as the upstream's output
-    // array; the chain link check below enforces the array-name match.
+    if (!st || !st->arg_errors.empty()) return std::nullopt;
+    st->instance = index;
     return st;
 }
 
@@ -177,7 +106,7 @@ FusionPlan plan_fusion(const std::vector<FusionCandidate>& candidates,
     }
 
     std::vector<std::optional<FusedStage>> stage(n);
-    for (std::size_t i = 0; i < n; ++i) stage[i] = parse_stage(candidates[i], i);
+    for (std::size_t i = 0; i < n; ++i) stage[i] = fusible_stage(candidates[i], i);
 
     // succ[i] = the unique fusible downstream stage of i, when legal.
     std::vector<std::optional<std::size_t>> succ(n);
@@ -299,12 +228,18 @@ public:
           rank_(ctx.comm.rank()),
           size_(ctx.comm.size()),
           reader_(ctx.fabric, chain.head().in_stream, rank_, size_),
-          gathers_(obs::Registry::global().counter(
-              "fusion.gather_fallbacks", {{"chain", hooks.front().instance}})) {
+          // Only a stage after the head can need a gather, so one-stage
+          // runs register no counter.
+          gathers_(chain.stages.size() > 1
+                       ? &obs::Registry::global().counter(
+                             "fusion.gather_fallbacks", {{"chain", hooks.front().instance}})
+                       : nullptr) {
         stage_ctx_.reserve(chain.stages.size());
         for (std::size_t k = 0; k < chain.stages.size(); ++k) {
             RunContext sc(ctx.fabric, ctx.comm, hooks[k].stats, ctx.stream_options);
-            sc.component = chain.stages[k].component;
+            // The head runs under the unit's own fault scope (the head's
+            // component in a workflow, "" for a bare standalone run).
+            sc.component = k == 0 ? ctx.component : chain.stages[k].component;
             sc.instance = hooks[k].instance;
             sc.attempt = ctx.attempt;
             sc.resume = ctx.resume;
@@ -315,10 +250,10 @@ public:
     void run() {
         const FusedStage& tail = chain_.tail();
         if (!chain_.tail_writes_stream() && rank_ == 0) {
-            // A restarted (warm or cold) incarnation appends, exactly like
-            // the standalone components, and skips steps whose rows the
-            // previous incarnation already wrote — an input ack lost in the
-            // crash makes the replay at-least-once, never duplicated output.
+            // A restarted (warm or cold) incarnation appends and skips steps
+            // whose rows the previous incarnation already wrote — an input
+            // ack lost in the crash makes the replay at-least-once, never
+            // duplicated output.
             const bool append = ctx_.attempt > 0 || ctx_.resume;
             if (tail.kind == Kind::Histogram) {
                 if (append) sink_written_ = last_histogram_step(tail.out_file);
@@ -380,7 +315,7 @@ public:
             const obs::ScopedActor actor(hooks_.back().instance);
             if (!writer_) {
                 // Empty input stream: the group must still attach and close so
-                // end-of-stream propagates downstream (standalone parity).
+                // end-of-stream propagates downstream.
                 writer_.emplace(ctx_.fabric, tail.out_stream,
                                 output_group(tail.component, tail.out_array, {}),
                                 rank_, size_, ctx_.stream_options);
@@ -442,7 +377,7 @@ private:
         s.owned = std::move(full);
         s.data = *s.owned;
         s.box = whole;
-        gathers_.inc();
+        gathers_->inc();
     }
 
     /// Re-partitions the slab along `dim` (collective: every rank calls this
@@ -481,6 +416,32 @@ private:
         slab_ = std::move(s);
     }
 
+    /// The stage's input slab for the element-wise kinds: the head reads its
+    /// partition along dimension 0; later stages take the upstream slab.
+    /// Either way the array must be `ndim`-D double precision.
+    void ingest(const FusedStage& st, bool head, std::size_t ndim,
+                std::uint64_t& bytes_in) {
+        const auto check = [&](const util::NdShape& shape, adios::DataKind kind) {
+            if (shape.ndim() != ndim) {
+                throw std::runtime_error(st.component + ": '" + st.in_array + "' must be " +
+                                         std::to_string(ndim) + "-D, got " +
+                                         shape.to_string());
+            }
+            if (kind != adios::DataKind::Float64) {
+                throw std::runtime_error(st.component + ": '" + st.in_array +
+                                         "' must be double-precision");
+            }
+        };
+        if (head) {
+            const adios::VarInfo info = reader_.inq_var(st.in_array);
+            check(info.shape, info.kind);
+            read_head(st, 0, bytes_in);
+        } else {
+            check(slab_.shape, slab_.kind);
+            bytes_in = slab_.data.size();
+        }
+    }
+
     // ---- stages -----------------------------------------------------------
 
     void apply_stage(std::size_t k, std::uint64_t step, std::uint64_t& bytes_in,
@@ -504,10 +465,10 @@ private:
                 stage_downsample(st, head, bytes_in);
                 break;
             case Kind::Histogram:
-                stage_histogram(st, step, bytes_in, bytes_out);
+                stage_histogram(st, head, step, bytes_in, bytes_out);
                 return;
             case Kind::Moments:
-                stage_moments(st, step, bytes_in, bytes_out);
+                stage_moments(st, head, step, bytes_in, bytes_out);
                 return;
         }
         bytes_out = slab_.data.size();
@@ -560,8 +521,8 @@ private:
             util::NdShape out_shape = shape;
             out_shape[dim] = rows.size();
 
-            // Mirror the standalone partitioning: along the largest other
-            // dimension, or across the selection itself on rank-1 input.
+            // Partition along the largest other dimension, or across the
+            // selection itself on rank-1 input (no other dimension exists).
             util::Box in_box;
             std::uint64_t j_begin = 0;
             std::uint64_t j_count = rows.size();
@@ -646,14 +607,14 @@ private:
                     row_out.offset[dim] = j;
                     row_out.count[dim] = 1;
                     // tmp has the row's dense layout; relabel it in output
-                    // coordinates (the standalone component does the same).
+                    // coordinates, as the head's row reads do.
                     util::copy_box(tmp, row_out, *out.owned, out_box, row_out, elem);
                 }
                 out.data = *out.owned;
                 slab_ = std::move(out);
             } else {
                 // Rank-1: every rank needs the whole array to take its share
-                // of the selection, like the standalone bounding-box reads.
+                // of the selection, like the head's whole-array row reads.
                 if (size_ > 1) gather_full(slab_);
                 const auto [j_begin, j_count] =
                     util::partition_range(rows.size(), rank_, size_);
@@ -678,19 +639,7 @@ private:
     }
 
     void stage_magnitude(const FusedStage& st, bool head, std::uint64_t& bytes_in) {
-        if (head) {
-            read_head(st, 0, bytes_in);
-        } else {
-            bytes_in = slab_.data.size();
-        }
-        if (slab_.shape.ndim() != 2) {
-            throw std::runtime_error("magnitude: '" + st.in_array + "' must be 2-D, got " +
-                                     slab_.shape.to_string());
-        }
-        if (slab_.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("magnitude: '" + st.in_array +
-                                     "' must be double-precision");
-        }
+        ingest(st, head, 2, bytes_in);
         // Every point's component vector must be whole.
         if (slab_.partial != 0) repartition(slab_, 0);
 
@@ -712,25 +661,13 @@ private:
     }
 
     void stage_threshold(const FusedStage& st, bool head, std::uint64_t& bytes_in) {
-        if (head) {
-            read_head(st, 0, bytes_in);
-        } else {
-            bytes_in = slab_.data.size();
-        }
-        if (slab_.shape.ndim() != 1) {
-            throw std::runtime_error("threshold: '" + st.in_array + "' must be 1-D, got " +
-                                     slab_.shape.to_string());
-        }
-        if (slab_.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("threshold: '" + st.in_array +
-                                     "' must be double-precision");
-        }
+        ingest(st, head, 1, bytes_in);
         const std::span<const double> local = slab_.doubles();
         std::vector<double> kept(local.size());
         kept.resize(kernels::threshold_compact(local, st.tmode, st.lo, st.hi,
                                                kept.data(), kernels::active_schedule()));
-        // Global layout: ragged rank-ordered intervals, like the standalone
-        // exscan/allreduce.  Concatenation order equals global index order
+        // Global layout: ragged rank-ordered intervals (exscan offsets,
+        // allreduce total).  Concatenation order equals global index order
         // under any of the executor's partitionings, so the composed output
         // is bit-identical to the unfused chain's.
         const auto n = static_cast<std::uint64_t>(kept.size());
@@ -829,11 +766,12 @@ private:
             out.box = out_box;
             out.partial = dim;
             out.owned = util::acquire_bytes(out_box.volume() * elem);
+            std::vector<std::byte> tmp;
             for (std::uint64_t j = 0; j < k_cnt; ++j) {
                 util::Box row_in = util::Box::whole(shape);
                 row_in.offset[dim] = (k_off + j) * st.stride;
                 row_in.count[dim] = 1;
-                std::vector<std::byte> tmp(row_in.volume() * elem);
+                tmp.resize(row_in.volume() * elem);
                 reader_.read_bytes(st.in_array, row_in, tmp);
                 bytes_in += tmp.size();
                 util::Box row_out = out_box;
@@ -901,17 +839,9 @@ private:
         }
     }
 
-    void stage_histogram(const FusedStage& st, std::uint64_t step,
+    void stage_histogram(const FusedStage& st, bool head, std::uint64_t step,
                          std::uint64_t& bytes_in, std::uint64_t& bytes_out) {
-        bytes_in = slab_.data.size();
-        if (slab_.shape.ndim() != 1) {
-            throw std::runtime_error("histogram: '" + st.in_array + "' must be 1-D, got " +
-                                     slab_.shape.to_string());
-        }
-        if (slab_.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("histogram: '" + st.in_array +
-                                     "' must be double-precision");
-        }
+        ingest(st, head, 1, bytes_in);
         const HistogramResult h =
             distributed_histogram(ctx_.comm, slab_.doubles(), st.bins, step);
         if (rank_ == 0 && !(sink_written_ && step <= *sink_written_)) {
@@ -921,17 +851,9 @@ private:
         bytes_out = rank_ == 0 ? h.counts.size() * sizeof(std::uint64_t) : 0;
     }
 
-    void stage_moments(const FusedStage& st, std::uint64_t step,
+    void stage_moments(const FusedStage& st, bool head, std::uint64_t step,
                        std::uint64_t& bytes_in, std::uint64_t& bytes_out) {
-        bytes_in = slab_.data.size();
-        if (slab_.shape.ndim() != 1) {
-            throw std::runtime_error("moments: '" + st.in_array + "' must be 1-D, got " +
-                                     slab_.shape.to_string());
-        }
-        if (slab_.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("moments: '" + st.in_array +
-                                     "' must be double-precision");
-        }
+        ingest(st, head, 1, bytes_in);
         const MomentsResult m = distributed_moments(ctx_.comm, slab_.doubles(), step);
         if (rank_ == 0 && !(sink_written_ && step <= *sink_written_)) {
             write_moments(sink_out_, m);
@@ -940,15 +862,17 @@ private:
         bytes_out = rank_ == 0 ? sizeof(MomentsResult) : 0;
     }
 
-    /// Publishes the tail stage's slab on its output stream, with the exact
-    /// group definition, dimensions, and attributes the standalone component
-    /// would have written.
+    /// Publishes the tail stage's slab on its output stream under the tail
+    /// component's group definition, with its dimensions and attributes.
     void emit_tail(const FusedStage& st) {
         const obs::ScopedActor actor(hooks_.back().instance);
         if (!writer_) {
+            // An unlabelled input still needs one dimension variable per
+            // dimension; output_group names the empty labels "d<i>".
+            std::vector<std::string> labels = slab_.dim_labels;
+            labels.resize(slab_.shape.ndim());
             writer_.emplace(ctx_.fabric, st.out_stream,
-                            output_group(st.component, st.out_array, slab_.dim_labels,
-                                         slab_.kind),
+                            output_group(st.component, st.out_array, labels, slab_.kind),
                             rank_, size_, ctx_.stream_options);
         }
         writer_->begin_step();
@@ -989,7 +913,7 @@ private:
     std::ofstream sink_out_;
     std::optional<std::uint64_t> sink_written_;  // newest step already on disk
     std::vector<RunContext> stage_ctx_;
-    obs::Counter& gathers_;
+    obs::Counter* gathers_;
     AttrSet attrs_;
     Slab slab_;
 };

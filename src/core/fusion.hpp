@@ -29,6 +29,12 @@
 //     fusion outright (an opaque component could open any stream, so
 //     single-reader/single-writer cannot be proven).
 //
+// One executor runs every fusible component.  Each component defines its
+// stage once (Component::stage: the argument parse), and run_fused_chain
+// below is the only step loop for those kinds: an unfused run is a set of
+// one-stage chains on this same executor, one per instance, so fused and
+// unfused outputs are bit-identical by construction.
+//
 // Execution preserves per-component semantics: each stage keeps its own
 // instance label, StepStats sink, Compute spans, and fault points, so Fig. 9
 // columns, traces, critical-path attribution, and SB_FAULT schedules name
@@ -40,7 +46,7 @@
 //
 // Gating: SB_FUSE env (unset -> on; "off"/"0"/"false" -> off), overridable
 // per workflow via Workflow::set_fusion — mirrors SB_PLAN_CACHE /
-// SB_READ_AHEAD.  Off reproduces the seed per-component execution exactly.
+// SB_READ_AHEAD.  Off runs every instance as its own one-stage unit.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +55,6 @@
 #include <vector>
 
 #include "core/component.hpp"
-#include "core/threshold.hpp"
 
 namespace sb::core {
 
@@ -62,39 +67,8 @@ bool fusion_enabled_from_env();
 /// Resolves a FusionMode against the environment gate.
 bool fusion_enabled(FusionMode mode);
 
-/// One fusible stage: a component's launch arguments, parsed once by the
-/// planner so the executor never re-validates them mid-run.
-struct FusedStage {
-    enum class Kind {
-        Select,
-        Magnitude,
-        Threshold,
-        DimReduce,
-        Downsample,
-        Histogram,
-        Moments,
-    };
-    Kind kind = Kind::Magnitude;
-    std::size_t instance = 0;  // workflow instance index (add() order)
-    std::string component;     // registry name ("dim-reduce", ...)
-    std::string in_stream;
-    std::string in_array;
-    std::string out_stream;  // empty for the file-endpoint kinds
-    std::string out_array;
-    std::string out_file;  // Histogram / Moments
-
-    std::size_t dim = 0;              // Select / Downsample
-    std::vector<std::string> wanted;  // Select
-    ThresholdMode tmode = ThresholdMode::Above;
-    double lo = 0.0;  // Threshold
-    double hi = 0.0;
-    std::size_t remove = 0;  // Dim-Reduce
-    std::size_t grow = 0;
-    std::uint64_t stride = 1;  // Downsample
-    std::size_t bins = 0;      // Histogram
-};
-
-/// A maximal fusible chain, upstream to downstream (always >= 2 stages).
+/// Fusible stages, upstream to downstream.  The planner's chains always
+/// hold >= 2 stages; a standalone run is a chain of one.
 struct FusedChain {
     std::vector<FusedStage> stages;
 

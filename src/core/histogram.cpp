@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/kernels.hpp"
-#include "util/timer.hpp"
 
 namespace sb::core {
 
@@ -126,62 +125,20 @@ std::vector<HistogramResult> read_histogram_file(const std::string& path) {
     return out;
 }
 
-void Histogram::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> Histogram::stage(const util::ArgList& args) const {
     args.require_at_least(3, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const std::size_t bins = args.unsigned_integer(2, "num-bins");
-    const std::string out_file = args.size() > 3
-                                     ? args.str(3, "output-file")
-                                     : "histogram_" + in_array + ".txt";
-    if (bins == 0) throw util::ArgError("histogram: num-bins must be positive");
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-    std::ofstream out;
-    std::optional<std::uint64_t> written;
-    if (rank == 0) {
-        // A restarted incarnation appends: steps written before the failure
-        // were already force-acknowledged upstream and will not be replayed.
-        // Same for a cold restart (ctx.resume) — the acknowledged steps'
-        // rows are already in the file from the previous process.  An ack
-        // lost in the crash makes the replay at-least-once, so steps the
-        // file already holds are skipped instead of duplicated.
-        const bool append = ctx.attempt > 0 || ctx.resume;
-        if (append) written = last_histogram_step(out_file);
-        out.open(out_file, append ? std::ios::app : std::ios::trunc);
-        if (!out) throw std::runtime_error("histogram: cannot write '" + out_file + "'");
+    FusedStage st;
+    st.kind = FusedStage::Kind::Histogram;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    st.bins = stage_arg(st, [&] { return args.unsigned_integer(2, "num-bins"); });
+    st.out_file = args.size() > 3 ? args.str(3, "output-file")
+                                  : "histogram_" + st.in_array + ".txt";
+    if (st.arg_errors.empty() && st.bins == 0) {
+        st.arg_errors.emplace_back("histogram: num-bins must be positive");
     }
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        if (info.shape.ndim() != 1) {
-            throw std::runtime_error("histogram: '" + in_array + "' must be 1-D, got " +
-                                     info.shape.to_string());
-        }
-        if (info.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("histogram: '" + in_array +
-                                     "' must be double-precision");
-        }
-
-        const util::Box box = util::partition_along(info.shape, 0, rank, size);
-        const std::vector<double> local = reader.read<double>(in_array, box);
-        const HistogramResult h =
-            distributed_histogram(ctx.comm, local, bins, reader.step());
-
-        if (rank == 0 && !(written && reader.step() <= *written)) {
-            write_histogram(out, h);
-            out.flush();
-        }
-
-        record_step(ctx, reader.step(), timer.seconds(), local.size() * sizeof(double),
-                    rank == 0 ? h.counts.size() * sizeof(std::uint64_t) : 0);
-        reader.end_step();
-    }
+    return st;
 }
 
 }  // namespace sb::core

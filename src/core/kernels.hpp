@@ -6,9 +6,9 @@
 // kernel per operation, bit-exact semantics documented per function) and
 // *how* it is scheduled (Schedule::Scalar replays the seed's sequential
 // loops; Schedule::Simd runs portable `#pragma omp simd` / lane-split
-// variants of the same math).  Both the standalone components and the fused
-// chain executor (core/fusion.hpp) call these entry points, so operator
-// fusion and vectorization compose but are gated independently.
+// variants of the same math).  The chain executor (core/fusion.hpp), which
+// runs every fusible component fused or alone, calls these entry points, so
+// operator fusion and vectorization compose but are gated independently.
 //
 // Gating: the active schedule resolves once from the SB_SIMD environment
 // variable (unset/anything -> Simd, "off"/"0"/"false" -> Scalar), mirroring

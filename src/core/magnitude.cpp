@@ -1,89 +1,17 @@
 #include "core/magnitude.hpp"
 
-#include <cmath>
-#include <optional>
-#include <span>
-
-#include "core/kernels.hpp"
-#include "util/timer.hpp"
-
 namespace sb::core {
 
-void Magnitude::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> Magnitude::stage(const util::ArgList& args) const {
     args.require_at_least(4, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const std::string out_stream = args.str(2, "output-stream-name");
-    const std::string out_array = args.str(3, "output-array-name");
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-    std::optional<adios::Writer> writer;
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        if (info.shape.ndim() != 2) {
-            throw std::runtime_error("magnitude: '" + in_array + "' must be 2-D, got " +
-                                     info.shape.to_string());
-        }
-        if (info.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("magnitude: '" + in_array +
-                                     "' must be double-precision");
-        }
-        const std::uint64_t npoints = info.shape[0];
-        const std::uint64_t ncomp = info.shape[1];
-
-        // Partition the data points among the ranks.  When the slab lines up
-        // with a single writer block, compute straight off the transport's
-        // payload (zero-copy); otherwise fall back to an assembled copy.
-        const util::Box in_box = util::partition_along(info.shape, 0, rank, size);
-        std::vector<double> owned;
-        std::span<const double> vecs;
-        if (const auto view = reader.try_read_view<double>(in_array, in_box)) {
-            vecs = *view;
-        } else {
-            owned = reader.read<double>(in_array, in_box);
-            vecs = owned;
-        }
-
-        const std::uint64_t local_n = in_box.count[0];
-
-        if (!writer) {
-            // The output keeps the data-point dimension's label.
-            const std::vector<std::string> labels = {
-                info.dim_labels.empty() ? std::string{} : info.dim_labels[0]};
-            writer.emplace(ctx.fabric, out_stream,
-                           output_group("magnitude", out_array, labels), rank, size,
-                           ctx.stream_options);
-        }
-        writer->begin_step();
-        const auto& dim_names = writer->group().find(out_array)->dimensions;
-        writer->set_dimension(dim_names[0], npoints);
-        // The vector-component dimension is consumed; its header must not
-        // propagate, and neither may the points dimension's header refer to
-        // a dimension index that no longer exists.
-        propagate_attributes(reader, *writer,
-                             AttrRules{in_array, out_array, {0}, {1}});
-        const util::Box out_box({in_box.offset[0]}, {local_n});
-        // The kernel's output array *is* the transport's pooled step buffer:
-        // no staging vector, no copy on publish.
-        const std::span<double> mags = writer->put_span<double>(out_array, out_box);
-        kernels::magnitude(vecs.data(), local_n, ncomp, mags.data());
-        writer->end_step();
-
-        record_step(ctx, reader.step(), timer.seconds(), vecs.size() * sizeof(double),
-                    mags.size() * sizeof(double));
-        reader.end_step();
-    }
-    if (!writer) {
-        writer.emplace(ctx.fabric, out_stream, output_group("magnitude", out_array, {}),
-                       rank, size, ctx.stream_options);
-    }
-    writer->close();
+    FusedStage st;
+    st.kind = FusedStage::Kind::Magnitude;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    st.out_stream = args.str(2, "output-stream-name");
+    st.out_array = args.str(3, "output-array-name");
+    return st;
 }
 
 }  // namespace sb::core

@@ -22,30 +22,15 @@ public:
         return "magnitude input-stream-name input-array-name "
                "output-stream-name output-array-name";
     }
-    Ports ports(const util::ArgList& args) const override {
-        args.require_at_least(4, usage());
-        return Ports{{args.str(0, "input-stream-name")},
-                     {args.str(2, "output-stream-name")}};
-    }
+    std::optional<FusedStage> stage(const util::ArgList& args) const override;
     Contract contract(const util::ArgList& args) const override {
-        args.require_at_least(4, usage());
-        Contract c;
-        c.known = true;
-        InputContract in;
-        in.stream = args.str(0, "input-stream-name");
-        in.array = args.str(1, "input-array-name");
-        in.exact_rank = 2;  // points x vector components, always
-        in.needs_float64 = true;
-        c.inputs.push_back(std::move(in));
-        OutputContract out;
-        out.stream = args.str(2, "output-stream-name");
-        out.array = args.str(3, "output-array-name");
-        out.rule = OutputContract::Shape::Collapse2Dto1D;
-        out.kind = OutputContract::Kind::Float64;
-        c.outputs.push_back(std::move(out));
+        Contract c = stage_contract(*stage(args));
+        c.inputs.front().exact_rank = 2;  // points x vector components, always
+        c.inputs.front().needs_float64 = true;
+        c.outputs.front().rule = OutputContract::Shape::Collapse2Dto1D;
+        c.outputs.front().kind = OutputContract::Kind::Float64;
         return c;
     }
-    void run(RunContext& ctx, const util::ArgList& args) override;
 };
 
 }  // namespace sb::core

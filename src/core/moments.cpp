@@ -1,13 +1,11 @@
 #include "core/moments.hpp"
 
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "core/kernels.hpp"
-#include "util/timer.hpp"
 
 namespace sb::core {
 
@@ -84,58 +82,16 @@ std::vector<MomentsResult> read_moments_file(const std::string& path) {
     return out;
 }
 
-void Moments::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> Moments::stage(const util::ArgList& args) const {
     args.require_at_least(2, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const std::string out_file = args.size() > 2 ? args.str(2, "output-file")
-                                                 : "moments_" + in_array + ".txt";
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-
-    std::ofstream out;
-    std::optional<std::uint64_t> written;
-    if (rank == 0) {
-        // Restarted (warm or cold) incarnations append and skip steps whose
-        // rows the previous incarnation already wrote — an input ack lost in
-        // the crash makes the replay at-least-once, never duplicated output.
-        const bool append = ctx.attempt > 0 || ctx.resume;
-        if (append) written = last_moments_step(out_file);
-        std::error_code ec;
-        const bool has_prior =
-            append && std::filesystem::file_size(out_file, ec) > 0 && !ec;
-        out.open(out_file, append ? std::ios::app : std::ios::trunc);
-        if (!out) throw std::runtime_error("moments: cannot write '" + out_file + "'");
-        if (!has_prior) out << "# step count mean variance skewness min max\n";
-    }
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        if (info.shape.ndim() != 1) {
-            throw std::runtime_error("moments: '" + in_array + "' must be 1-D, got " +
-                                     info.shape.to_string());
-        }
-        if (info.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("moments: '" + in_array +
-                                     "' must be double-precision");
-        }
-
-        const util::Box box = util::partition_along(info.shape, 0, rank, size);
-        const std::vector<double> local = reader.read<double>(in_array, box);
-        const MomentsResult m = distributed_moments(ctx.comm, local, reader.step());
-
-        if (rank == 0 && !(written && reader.step() <= *written)) {
-            write_moments(out, m);
-            out.flush();
-        }
-        record_step(ctx, reader.step(), timer.seconds(), local.size() * sizeof(double),
-                    rank == 0 ? sizeof(MomentsResult) : 0);
-        reader.end_step();
-    }
+    FusedStage st;
+    st.kind = FusedStage::Kind::Moments;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    st.out_file = args.size() > 2 ? args.str(2, "output-file")
+                                  : "moments_" + st.in_array + ".txt";
+    return st;
 }
 
 }  // namespace sb::core

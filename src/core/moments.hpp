@@ -49,23 +49,13 @@ public:
     std::string usage() const override {
         return "moments input-stream-name input-array-name [output-file]";
     }
-    Ports ports(const util::ArgList& args) const override {
-        args.require_at_least(2, usage());
-        return Ports{{args.str(0, "input-stream-name")}, {}};
-    }
+    std::optional<FusedStage> stage(const util::ArgList& args) const override;
     Contract contract(const util::ArgList& args) const override {
-        args.require_at_least(2, usage());
-        Contract c;
-        c.known = true;
-        InputContract in;
-        in.stream = args.str(0, "input-stream-name");
-        in.array = args.str(1, "input-array-name");
-        in.exact_rank = 1;
-        in.needs_float64 = true;
-        c.inputs.push_back(std::move(in));
+        Contract c = stage_contract(*stage(args));
+        c.inputs.front().exact_rank = 1;
+        c.inputs.front().needs_float64 = true;
         return c;
     }
-    void run(RunContext& ctx, const util::ArgList& args) override;
 };
 
 }  // namespace sb::core

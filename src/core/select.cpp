@@ -1,148 +1,19 @@
 #include "core/select.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <span>
-
-#include "util/timer.hpp"
-
 namespace sb::core {
 
-void Select::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> Select::stage(const util::ArgList& args) const {
     args.require_at_least(6, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const std::size_t dim = args.unsigned_integer(2, "dimension-index");
-    const std::string out_stream = args.str(3, "output-stream-name");
-    const std::string out_array = args.str(4, "output-array-name");
-    const std::vector<std::string> wanted = args.rest(5);
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-    std::optional<adios::Writer> writer;
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        const util::NdShape& shape = info.shape;
-        if (dim >= shape.ndim()) {
-            throw std::runtime_error("select: dimension-index " + std::to_string(dim) +
-                                     " out of range for " + shape.to_string());
-        }
-        // The header names the rows of the dimension of interest; it must
-        // have been maintained upstream (design guideline 3).
-        const auto header = reader.attribute_strings(header_attr_key(in_array, dim));
-        if (!header) {
-            throw std::runtime_error("select: stream '" + in_stream +
-                                     "' carries no header for dimension " +
-                                     std::to_string(dim) + " of '" + in_array +
-                                     "' (attribute '" + header_attr_key(in_array, dim) +
-                                     "')");
-        }
-        if (header->size() != shape[dim]) {
-            throw std::runtime_error("select: header length " +
-                                     std::to_string(header->size()) +
-                                     " != dimension extent " + std::to_string(shape[dim]));
-        }
-
-        // Resolve requested names to row indices, in request order.
-        std::vector<std::uint64_t> rows;
-        rows.reserve(wanted.size());
-        for (const std::string& w : wanted) {
-            const auto it = std::find(header->begin(), header->end(), w);
-            if (it == header->end()) {
-                std::string avail;
-                for (const auto& h : *header) avail += (avail.empty() ? "" : ", ") + h;
-                throw std::runtime_error("select: no row named '" + w +
-                                         "' in dimension " + std::to_string(dim) +
-                                         " (available: " + avail + ")");
-            }
-            rows.push_back(static_cast<std::uint64_t>(it - header->begin()));
-        }
-
-        util::NdShape out_shape = shape;
-        out_shape[dim] = rows.size();
-
-        // Auto-partition along the largest other dimension; on rank-1
-        // input (no other dimension exists) partition the selection
-        // itself, so every rank still gets ~equal work.
-        util::Box in_box;           // this rank's slab, full in `dim`
-        std::uint64_t j_begin = 0;  // this rank's share of the selection
-        std::uint64_t j_count = rows.size();
-        if (shape.ndim() > 1) {
-            const std::size_t pdim = pick_partition_dim(shape, {dim});
-            in_box = util::partition_along(shape, pdim, rank, size);
-        } else {
-            in_box = util::Box::whole(shape);
-            const auto [off, cnt] = util::partition_range(rows.size(), rank, size);
-            j_begin = off;
-            j_count = cnt;
-        }
-        util::Box out_box = in_box;
-        out_box.offset[dim] = j_begin;
-        out_box.count[dim] = j_count;
-
-        const std::size_t elem = ffs::kind_size(info.kind);
-
-        // Writer first: the output buffer is the transport's pooled step
-        // buffer (put_view), filled in place — no staging copy.
-        if (!writer) {
-            writer.emplace(ctx.fabric, out_stream,
-                           output_group("select", out_array, info.dim_labels, info.kind),
-                           rank, size, ctx.stream_options);
-        }
-        writer->begin_step();
-        const auto& dim_names = writer->group().find(out_array)->dimensions;
-        for (std::size_t d = 0; d < out_shape.ndim(); ++d) {
-            writer->set_dimension(dim_names[d], out_shape[d]);
-        }
-        propagate_attributes(reader, *writer,
-                             AttrRules{in_array, out_array, {}, {dim}});
-        writer->write_attribute(header_attr_key(out_array, dim), wanted);
-        const std::span<std::byte> out_view = writer->put_view(out_array, out_box);
-
-        // Gather each selected row with a bounding-box read, then place it
-        // at its output position along `dim`.  The rows tile out_box, so
-        // every byte of the pooled buffer is written.
-        std::uint64_t bytes_in = 0;
-        std::vector<std::byte> tmp;
-        for (std::uint64_t j = j_begin; j < j_begin + j_count; ++j) {
-            util::Box row_in = in_box;
-            row_in.offset[dim] = rows[j];
-            row_in.count[dim] = 1;
-            // A row that is exactly one writer block is copied once,
-            // straight from the transport payload into its output slot.
-            std::span<const std::byte> row;
-            if (const auto view = reader.try_read_view_bytes(in_array, row_in)) {
-                row = *view;
-            } else {
-                tmp.resize(row_in.volume() * elem);
-                reader.read_bytes(in_array, row_in, tmp);
-                row = tmp;
-            }
-            bytes_in += row.size();
-
-            util::Box row_out = out_box;
-            row_out.offset[dim] = j;
-            row_out.count[dim] = 1;
-            util::copy_box(row, row_out, out_view, out_box, row_out, elem);
-        }
-        writer->end_step();
-
-        record_step(ctx, reader.step(), timer.seconds(), bytes_in,
-                    out_view.size());
-        reader.end_step();
-    }
-    // Even on an empty input stream the writer group must attach and close,
-    // so end-of-stream propagates and the downstream component terminates.
-    if (!writer) {
-        writer.emplace(ctx.fabric, out_stream, output_group("select", out_array, {}),
-                       rank, size, ctx.stream_options);
-    }
-    writer->close();
+    FusedStage st;
+    st.kind = FusedStage::Kind::Select;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    st.dim = stage_arg(st, [&] { return args.unsigned_integer(2, "dimension-index"); });
+    st.out_stream = args.str(3, "output-stream-name");
+    st.out_array = args.str(4, "output-array-name");
+    st.wanted = args.rest(5);
+    return st;
 }
 
 }  // namespace sb::core

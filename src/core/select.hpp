@@ -23,35 +23,21 @@ public:
         return "select input-stream-name input-array-name dimension-index "
                "output-stream-name output-array-name name1 [name2 ...]";
     }
-    Ports ports(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        return Ports{{args.str(0, "input-stream-name")},
-                     {args.str(3, "output-stream-name")}};
-    }
+    std::optional<FusedStage> stage(const util::ArgList& args) const override;
     Contract contract(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        const std::size_t dim = args.unsigned_integer(2, "dimension-index");
-        const std::vector<std::string> wanted = args.rest(5);
-        Contract c;
-        c.known = true;
-        InputContract in;
-        in.stream = args.str(0, "input-stream-name");
-        in.array = args.str(1, "input-array-name");
-        in.dim_params["dimension-index"] = dim;
-        in.min_rank = dim + 1;
-        in.need_headers[dim] = wanted;  // rows are selected *by name*
-        c.inputs.push_back(std::move(in));
-        OutputContract out;
-        out.stream = args.str(3, "output-stream-name");
-        out.array = args.str(4, "output-array-name");
+        const FusedStage st = *stage(args);
+        Contract c = stage_contract(st);
+        InputContract& in = c.inputs.front();
+        in.dim_params["dimension-index"] = st.dim;
+        in.min_rank = st.dim + 1;
+        in.need_headers[st.dim] = st.wanted;  // rows are selected *by name*
+        OutputContract& out = c.outputs.front();
         out.rule = OutputContract::Shape::SetDim;
-        out.dim = dim;
-        out.count = wanted.size();
-        out.set_headers[dim] = wanted;  // filtered header, selection order
-        c.outputs.push_back(std::move(out));
+        out.dim = st.dim;
+        out.count = st.wanted.size();
+        out.set_headers[st.dim] = st.wanted;  // filtered header, selection order
         return c;
     }
-    void run(RunContext& ctx, const util::ArgList& args) override;
 };
 
 }  // namespace sb::core

@@ -1,9 +1,5 @@
 #include "core/threshold.hpp"
 
-#include <optional>
-
-#include "util/timer.hpp"
-
 namespace sb::core {
 
 ThresholdMode parse_threshold_mode(const std::string& s) {
@@ -13,77 +9,27 @@ ThresholdMode parse_threshold_mode(const std::string& s) {
     throw util::ArgError("threshold: mode must be above|below|band, got '" + s + "'");
 }
 
-void Threshold::run(RunContext& ctx, const util::ArgList& args) {
+std::optional<FusedStage> Threshold::stage(const util::ArgList& args) const {
     args.require_at_least(6, usage());
-    const std::string in_stream = args.str(0, "input-stream-name");
-    const std::string in_array = args.str(1, "input-array-name");
-    const ThresholdMode mode = parse_threshold_mode(args.str(2, "mode"));
-    const double lo = args.real(3, "lo");
-    std::size_t next = 4;
-    double hi = 0.0;
-    if (mode == ThresholdMode::Band) {
+    FusedStage st;
+    st.kind = FusedStage::Kind::Threshold;
+    st.component = name();
+    st.in_stream = args.str(0, "input-stream-name");
+    st.in_array = args.str(1, "input-array-name");
+    const std::string& mode = args.str(2, "mode");
+    st.tmode = stage_arg(st, [&] { return parse_threshold_mode(mode); });
+    st.lo = stage_arg(st, [&] { return args.real(3, "lo"); });
+    const bool band = mode == "band";
+    if (band) {
         args.require_at_least(7, usage());
-        hi = args.real(next++, "hi");
-        if (hi < lo) throw util::ArgError("threshold: band requires lo <= hi");
-    }
-    const std::string out_stream = args.str(next++, "output-stream-name");
-    const std::string out_array = args.str(next++, "output-array-name");
-
-    const int rank = ctx.comm.rank();
-    const int size = ctx.comm.size();
-    adios::Reader reader(ctx.fabric, in_stream, rank, size);
-    std::optional<adios::Writer> writer;
-
-    while (reader.begin_step()) {
-        util::WallTimer timer;
-
-        const adios::VarInfo info = reader.inq_var(in_array);
-        if (info.shape.ndim() != 1) {
-            throw std::runtime_error("threshold: '" + in_array + "' must be 1-D, got " +
-                                     info.shape.to_string());
+        st.hi = stage_arg(st, [&] { return args.real(4, "hi"); });
+        if (st.arg_errors.empty() && st.hi < st.lo) {
+            st.arg_errors.emplace_back("threshold: band requires lo <= hi");
         }
-        if (info.kind != adios::DataKind::Float64) {
-            throw std::runtime_error("threshold: '" + in_array +
-                                     "' must be double-precision");
-        }
-
-        const util::Box box = util::partition_along(info.shape, 0, rank, size);
-        const std::vector<double> local = reader.read<double>(in_array, box);
-        std::vector<double> kept(local.size());
-        kept.resize(kernels::threshold_compact(local, mode, lo, hi, kept.data(),
-                                               kernels::active_schedule()));
-
-        // Settle the global output layout: each rank's offset is the
-        // exclusive prefix sum of pass counts, the extent their total.
-        const auto n = static_cast<std::uint64_t>(kept.size());
-        const std::uint64_t offset = ctx.comm.exscan(n, mpi::ReduceOp::Sum);
-        const std::uint64_t total = ctx.comm.allreduce(n, mpi::ReduceOp::Sum);
-
-        if (!writer) {
-            const std::vector<std::string> labels = {
-                info.dim_labels.empty() ? std::string{} : info.dim_labels[0]};
-            writer.emplace(ctx.fabric, out_stream,
-                           output_group("threshold", out_array, labels), rank, size,
-                           ctx.stream_options);
-        }
-        writer->begin_step();
-        const auto& dim_names = writer->group().find(out_array)->dimensions;
-        writer->set_dimension(dim_names[0], total);
-        propagate_attributes(reader, *writer, AttrRules{in_array, out_array, {0}, {}});
-        writer->write_attribute(out_array + ".count", static_cast<double>(total));
-        writer->write<double>(out_array, kept,
-                              util::Box({offset}, {static_cast<std::uint64_t>(kept.size())}));
-        writer->end_step();
-
-        record_step(ctx, reader.step(), timer.seconds(), local.size() * sizeof(double),
-                    kept.size() * sizeof(double));
-        reader.end_step();
     }
-    if (!writer) {
-        writer.emplace(ctx.fabric, out_stream, output_group("threshold", out_array, {}),
-                       rank, size, ctx.stream_options);
-    }
-    writer->close();
+    st.out_stream = args.str(band ? 5 : 4, "output-stream-name");
+    st.out_array = args.str(band ? 6 : 5, "output-array-name");
+    return st;
 }
 
 }  // namespace sb::core

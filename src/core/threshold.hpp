@@ -30,42 +30,15 @@ public:
         return "threshold input-stream-name input-array-name above|below|band "
                "lo [hi] output-stream-name output-array-name";
     }
-    Ports ports(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        const bool band = args.str(2, "mode") == "band";
-        if (band) args.require_at_least(7, usage());
-        return Ports{{args.str(0, "input-stream-name")},
-                     {args.str(band ? 5 : 4, "output-stream-name")}};
-    }
+    std::optional<FusedStage> stage(const util::ArgList& args) const override;
     Contract contract(const util::ArgList& args) const override {
-        args.require_at_least(6, usage());
-        const std::string& mode = args.str(2, "mode");
-        const bool band = mode == "band";
-        if (band) args.require_at_least(7, usage());
-        Contract c;
-        c.known = true;
-        if (mode != "above" && mode != "below" && mode != "band") {
-            c.param_errors.push_back(
-                "threshold: mode must be above|below|band, got '" + mode + "'");
-        }
-        if (band && args.real(4, "hi") < args.real(3, "lo")) {
-            c.param_errors.push_back("threshold: band requires lo <= hi");
-        }
-        InputContract in;
-        in.stream = args.str(0, "input-stream-name");
-        in.array = args.str(1, "input-array-name");
-        in.exact_rank = 1;
-        in.needs_float64 = true;
-        c.inputs.push_back(std::move(in));
-        OutputContract out;
-        out.stream = args.str(band ? 5 : 4, "output-stream-name");
-        out.array = args.str(band ? 6 : 5, "output-array-name");
-        out.rule = OutputContract::Shape::Filter1D;
-        out.kind = OutputContract::Kind::Float64;
-        c.outputs.push_back(std::move(out));
+        Contract c = stage_contract(*stage(args));
+        c.inputs.front().exact_rank = 1;
+        c.inputs.front().needs_float64 = true;
+        c.outputs.front().rule = OutputContract::Shape::Filter1D;
+        c.outputs.front().kind = OutputContract::Kind::Float64;
         return c;
     }
-    void run(RunContext& ctx, const util::ArgList& args) override;
 };
 
 }  // namespace sb::core

@@ -499,9 +499,10 @@ void Workflow::run() {
     std::vector<std::exception_ptr> errors(instances_.size());
     std::atomic<bool> failed{false};
 
-    // Execution units: one per fused chain, one per remaining instance.  An
-    // empty plan (SB_FUSE=off / nothing fusible) reproduces the seed's
-    // one-unit-per-instance execution exactly.
+    // Execution units: one per fused chain, one per remaining instance.  A
+    // remaining fusible instance runs as a one-stage chain on the same
+    // executor (Component::run), so an empty plan (SB_FUSE=off / nothing
+    // fusible) differs from a fused run only in the streams it materializes.
     const FusionPlan fplan = fusion_plan();
     struct UnitSpec {
         std::vector<std::size_t> members;       // instance indices, chain order

@@ -128,7 +128,7 @@ public:
     LintMode lint() const noexcept { return lint_; }
 
     /// The fusion plan run() would execute right now: empty when fusion is
-    /// disabled (seed per-component execution), otherwise the maximal fusible
+    /// disabled (every instance its own unit), otherwise the maximal fusible
     /// chains over the current instances.  Pure — streams are not touched.
     FusionPlan fusion_plan() const;
 

@@ -1251,18 +1251,26 @@ std::size_t Stream::in_flight_steps() const {
 // ---- Fabric ----------------------------------------------------------------
 
 std::shared_ptr<Stream> Fabric::get(const std::string& name) {
-    std::lock_guard lock(mu_);
-    auto it = streams_.find(name);
-    if (it == streams_.end()) {
-        it = streams_.emplace(name, std::make_shared<Stream>(name)).first;
+    std::shared_ptr<Stream> s;
+    bool born_aborted = false;
+    {
+        std::lock_guard lock(mu_);
+        auto it = streams_.find(name);
+        if (it == streams_.end()) {
+            it = streams_.emplace(name, std::make_shared<Stream>(name)).first;
+            born_aborted = aborted_;
+        }
+        s = it->second;
     }
-    return it->second;
+    if (born_aborted) s->abort();  // outside mu_, like abort_all
+    return s;
 }
 
 void Fabric::abort_all() {
     std::vector<std::shared_ptr<Stream>> snapshot;
     {
         std::lock_guard lock(mu_);
+        aborted_ = true;
         for (auto& [name, s] : streams_) snapshot.push_back(s);
     }
     for (auto& s : snapshot) s->abort();

@@ -527,12 +527,15 @@ public:
     /// Names of all streams ever opened (diagnostics).
     std::vector<std::string> stream_names() const;
 
-    /// Aborts every stream (see Stream::abort).
+    /// Aborts every stream (see Stream::abort), including any first opened
+    /// afterwards: a component that opens its stream only after a peer
+    /// failed must unwind, not wait for a reader that will never come.
     void abort_all();
 
 private:
     mutable std::mutex mu_;
     std::map<std::string, std::shared_ptr<Stream>> streams_;
+    bool aborted_ = false;  // guarded by mu_
 };
 
 }  // namespace sb::flexpath

@@ -342,6 +342,22 @@ TEST(Flexpath, AbortFailsSubsequentSubmit) {
     EXPECT_THROW(port.end_step(), fp::StreamAborted);
 }
 
+// A stream first opened after abort_all is aborted too: a writer that
+// attaches only after a peer failed unwinds instead of waiting for a
+// reader that will never come.
+TEST(Flexpath, AbortAllAbortsStreamsOpenedLater) {
+    fp::Fabric fabric;
+    fabric.abort_all();
+    const auto publish = [&] {
+        fp::WriterPort port(fabric, "late", 0, 1);
+        port.declare(fp::VarDecl{"a", fp::DataKind::Float64, u::NdShape{1}, {}});
+        const std::vector<double> v = {1.0};
+        port.put<double>("a", u::Box({0}, {1}), v);
+        port.end_step();
+    };
+    EXPECT_THROW(publish(), fp::StreamAborted);
+}
+
 TEST(Flexpath, FabricRegistryByName) {
     fp::Fabric fabric;
     auto a = fabric.get("one");

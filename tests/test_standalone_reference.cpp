@@ -1,0 +1,346 @@
+// Standalone runs of the seven fusible components against references
+// computed here with plain loops, independent of the chain executor that
+// now runs them: each component runs alone in a Workflow at 1, 2 and 3
+// ranks, fed seeded arrays by a WriterPort source, and its output must match
+// the reference bit for bit (moments: to a closed-form tolerance).
+//
+// The second half pins argument handling: Workflow::run raises the same
+// util::ArgError text for malformed arguments, ports() throws only for
+// missing arguments, and value errors surface as contract().param_errors.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "adios/reader.hpp"
+#include "core/histogram.hpp"
+#include "core/moments.hpp"
+#include "core/registry.hpp"
+#include "core/workflow.hpp"
+#include "flexpath/writer.hpp"
+
+namespace a = sb::adios;
+namespace core = sb::core;
+namespace fp = sb::flexpath;
+namespace u = sb::util;
+
+namespace {
+
+constexpr std::uint64_t kSteps = 3;
+
+/// What "ref-source" publishes on "in.fp": seeded steps of array "x".
+struct Feed {
+    u::NdShape shape;
+    std::vector<std::string> header;  // row names of the last dimension
+    std::vector<std::vector<double>> steps;
+};
+Feed g_feed;
+
+/// Seeds g_feed with kSteps arrays of `shape`, values uniform in [-4, 4).
+void seed_feed(u::NdShape shape, std::vector<std::string> header = {}) {
+    std::mt19937_64 rng(20170529);
+    std::uniform_real_distribution<double> dist(-4.0, 4.0);
+    g_feed.shape = shape;
+    g_feed.header = std::move(header);
+    g_feed.steps.assign(kSteps, std::vector<double>(shape.volume()));
+    for (auto& step : g_feed.steps) {
+        for (double& v : step) v = dist(rng);
+    }
+}
+
+class RefSource final : public core::Component {
+public:
+    std::string name() const override { return "ref-source"; }
+    std::string usage() const override { return "ref-source out-stream-name"; }
+    core::Ports ports(const u::ArgList& args) const override {
+        args.require_at_least(1, usage());
+        return core::Ports{{}, {args.str(0, "out-stream-name")}};
+    }
+    void run(core::RunContext& ctx, const u::ArgList& args) override {
+        fp::WriterPort port(ctx.fabric, args.str(0, "out-stream-name"), ctx.comm.rank(),
+                            ctx.comm.size(), ctx.stream_options);
+        const std::string key = core::header_attr_key("x", g_feed.shape.ndim() - 1);
+        for (const std::vector<double>& data : g_feed.steps) {
+            port.declare(fp::VarDecl{"x", fp::DataKind::Float64, g_feed.shape, {}});
+            if (!g_feed.header.empty()) port.put_attr(key, g_feed.header);
+            port.put<double>("x", u::Box::whole(g_feed.shape), data);
+            port.end_step();
+        }
+        port.close();
+    }
+};
+
+void register_source() {
+    if (!core::component_registered("ref-source")) {
+        core::register_component("ref-source", [] { return std::make_unique<RefSource>(); });
+    }
+}
+
+/// Runs ref-source -> `component` (alone, at `nprocs`) and returns every
+/// step of `out_array` on "out.fp" as a full array.  File-endpoint
+/// components pass an empty `out_array`.
+std::vector<std::vector<double>> run_alone(const std::string& component, int nprocs,
+                                           std::vector<std::string> args,
+                                           const std::string& out_array = "") {
+    register_source();
+    fp::Fabric fabric;
+    core::Workflow wf(fabric);
+    wf.add("ref-source", 1, {"in.fp"});
+    wf.add(component, nprocs, std::move(args));
+    EXPECT_FALSE(wf.fusion_plan().fused(1));
+
+    std::vector<std::vector<double>> out;
+    std::jthread reader;
+    if (!out_array.empty()) {
+        reader = std::jthread([&] {
+            a::Reader r(fabric, "out.fp", 0, 1);
+            while (r.begin_step()) {
+                const a::VarInfo info = r.inq_var(out_array);
+                out.push_back(r.read<double>(out_array, u::Box::whole(info.shape)));
+                r.end_step();
+            }
+        });
+    }
+    wf.run();
+    if (reader.joinable()) reader.join();
+    return out;
+}
+
+std::string tmp(const std::string& name) { return ::testing::TempDir() + "/sb_ref_" + name; }
+
+}  // namespace
+
+// ---- references ------------------------------------------------------------
+
+TEST(StandaloneReference, Select) {
+    seed_feed(u::NdShape{7, 5}, {"a", "b", "c", "d", "e"});
+    const std::vector<std::uint64_t> rows = {3, 0, 3};  // d a d
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        const auto got = run_alone("select", np,
+                                   {"in.fp", "x", "1", "out.fp", "s", "d", "a", "d"}, "s");
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            std::vector<double> want;
+            for (std::uint64_t r = 0; r < 7; ++r) {
+                for (const std::uint64_t c : rows) want.push_back(g_feed.steps[t][r * 5 + c]);
+            }
+            EXPECT_EQ(got[t], want);
+        }
+    }
+}
+
+TEST(StandaloneReference, Magnitude) {
+    seed_feed(u::NdShape{11, 3});
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        const auto got = run_alone("magnitude", np, {"in.fp", "x", "out.fp", "m"}, "m");
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            std::vector<double> want;
+            for (std::uint64_t i = 0; i < 11; ++i) {
+                double s = 0.0;
+                for (std::uint64_t c = 0; c < 3; ++c) {
+                    const double v = g_feed.steps[t][i * 3 + c];
+                    s += v * v;
+                }
+                want.push_back(std::sqrt(s));
+            }
+            EXPECT_EQ(got[t], want);
+        }
+    }
+}
+
+TEST(StandaloneReference, Threshold) {
+    seed_feed(u::NdShape{23});
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        const auto got = run_alone("threshold", np,
+                                   {"in.fp", "x", "band", "-1", "2.5", "out.fp", "t"}, "t");
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            std::vector<double> want;
+            for (const double v : g_feed.steps[t]) {
+                if (v >= -1.0 && v <= 2.5) want.push_back(v);
+            }
+            EXPECT_EQ(got[t], want);
+        }
+    }
+}
+
+TEST(StandaloneReference, DimReduce) {
+    seed_feed(u::NdShape{4, 5, 3});
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        // Absorb dimension 2 into 1: out[a][b * 3 + c] = in[a][b][c].
+        const auto got = run_alone("dim-reduce", np,
+                                   {"in.fp", "x", "2", "1", "out.fp", "r"}, "r");
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            std::vector<double> want(4 * 15);
+            for (std::uint64_t i = 0; i < 4; ++i) {
+                for (std::uint64_t b = 0; b < 5; ++b) {
+                    for (std::uint64_t c = 0; c < 3; ++c) {
+                        want[i * 15 + b * 3 + c] = g_feed.steps[t][(i * 5 + b) * 3 + c];
+                    }
+                }
+            }
+            EXPECT_EQ(got[t], want);
+        }
+    }
+}
+
+TEST(StandaloneReference, Downsample) {
+    seed_feed(u::NdShape{10, 4});
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        const auto got = run_alone("downsample", np,
+                                   {"in.fp", "x", "0", "3", "out.fp", "d"}, "d");
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            std::vector<double> want;
+            for (std::uint64_t r = 0; r < 10; r += 3) {
+                for (std::uint64_t c = 0; c < 4; ++c) {
+                    want.push_back(g_feed.steps[t][r * 4 + c]);
+                }
+            }
+            EXPECT_EQ(got[t], want);
+        }
+    }
+}
+
+TEST(StandaloneReference, Histogram) {
+    seed_feed(u::NdShape{29});
+    const std::size_t bins = 6;
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        const std::string file = tmp("hist_" + std::to_string(np) + ".txt");
+        run_alone("histogram", np, {"in.fp", "x", std::to_string(bins), file});
+        const auto got = core::read_histogram_file(file);
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            const std::vector<double>& v = g_feed.steps[t];
+            const double lo = *std::min_element(v.begin(), v.end());
+            const double hi = *std::max_element(v.begin(), v.end());
+            const double width = (hi - lo) / static_cast<double>(bins);
+            std::vector<std::uint64_t> counts(bins, 0);
+            for (const double x : v) {
+                const double pos = (x - lo) / width;
+                const std::size_t b =
+                    pos >= static_cast<double>(bins) ? bins - 1 : static_cast<std::size_t>(pos);
+                ++counts[b];
+            }
+            EXPECT_EQ(got[t].step, t);
+            EXPECT_EQ(got[t].min, lo);
+            EXPECT_EQ(got[t].max, hi);
+            EXPECT_EQ(got[t].counts, counts);
+        }
+    }
+}
+
+TEST(StandaloneReference, Moments) {
+    seed_feed(u::NdShape{31});
+    for (const int np : {1, 2, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        const std::string file = tmp("moments_" + std::to_string(np) + ".txt");
+        run_alone("moments", np, {"in.fp", "x", file});
+        const auto got = core::read_moments_file(file);
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            const std::vector<double>& v = g_feed.steps[t];
+            const double n = static_cast<double>(v.size());
+            double mean = 0.0;
+            for (const double x : v) mean += x / n;
+            double m2 = 0.0;
+            double m3 = 0.0;
+            for (const double x : v) {
+                m2 += (x - mean) * (x - mean) / n;
+                m3 += (x - mean) * (x - mean) * (x - mean) / n;
+            }
+            EXPECT_EQ(got[t].step, t);
+            EXPECT_EQ(got[t].count, v.size());
+            EXPECT_NEAR(got[t].mean, mean, 1e-12);
+            EXPECT_NEAR(got[t].variance, m2, 1e-12 * m2);
+            EXPECT_NEAR(got[t].skewness, m3 / std::pow(m2, 1.5), 1e-9);
+            EXPECT_EQ(got[t].min, *std::min_element(v.begin(), v.end()));
+            EXPECT_EQ(got[t].max, *std::max_element(v.begin(), v.end()));
+        }
+    }
+}
+
+// ---- argument parity --------------------------------------------------------
+
+namespace {
+
+/// The util::ArgError text Workflow::run raises for `component args`, fed
+/// by ref-source; "" when the run does not throw one.
+std::string run_error(const std::string& component, std::vector<std::string> args) {
+    register_source();
+    seed_feed(u::NdShape{8});
+    fp::Fabric fabric;
+    core::Workflow wf(fabric);
+    wf.add("ref-source", 1, {"in.fp"});
+    wf.add(component, 2, std::move(args));
+    try {
+        wf.run();
+    } catch (const u::ArgError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+struct BadArgs {
+    std::string component;
+    std::vector<std::string> args;
+    std::string error;
+    bool ports_throw;  // missing arguments; otherwise a param_error
+};
+
+std::vector<BadArgs> bad_args() {
+    return {
+        {"select", {"in.fp", "x", "0"}, "expected at least 6 arguments, got 3\nusage: "
+         "select input-stream-name input-array-name dimension-index "
+         "output-stream-name output-array-name name1 [name2 ...]", true},
+        {"downsample", {"in.fp", "x", "0", "0", "out.fp", "d"},
+         "downsample: stride must be positive", false},
+        {"histogram", {"in.fp", "x", "0", tmp("bins0.txt")},
+         "histogram: num-bins must be positive", false},
+        {"threshold", {"in.fp", "x", "over", "1", "out.fp", "t"},
+         "threshold: mode must be above|below|band, got 'over'", false},
+        {"threshold", {"in.fp", "x", "band", "2", "1", "out.fp", "t"},
+         "threshold: band requires lo <= hi", false},
+    };
+}
+
+}  // namespace
+
+TEST(ArgumentParity, WorkflowRunRaisesTheArgError) {
+    for (const BadArgs& b : bad_args()) {
+        SCOPED_TRACE(b.component + " " + b.error);
+        EXPECT_EQ(run_error(b.component, b.args), b.error);
+    }
+}
+
+TEST(ArgumentParity, PortsThrowOnlyForMissingArguments) {
+    for (const BadArgs& b : bad_args()) {
+        SCOPED_TRACE(b.component + " " + b.error);
+        const auto c = core::make_component(b.component);
+        const u::ArgList args(b.args);
+        if (b.ports_throw) {
+            EXPECT_THROW((void)c->ports(args), u::ArgError);
+            EXPECT_THROW((void)c->contract(args), u::ArgError);
+        } else {
+            const core::Ports p = c->ports(args);
+            EXPECT_TRUE(p.known);
+            EXPECT_EQ(p.inputs, (std::vector<std::string>{"in.fp"}));
+            const core::Contract k = c->contract(args);
+            EXPECT_TRUE(k.known);
+            EXPECT_EQ(k.param_errors, (std::vector<std::string>{b.error}));
+        }
+    }
+}
