@@ -1,17 +1,20 @@
 // Micro-benchmark of the MxN redistribution fast path (DESIGN.md):
-// per-step bounding-box read cost with the reader-side copy-plan cache on
-// vs off across fan-in shapes, plus the zero-copy view path on
-// writer-aligned boxes.  Small blocks on purpose — the cache removes
-// per-read intersection/plan bookkeeping, so the effect is largest when
-// bookkeeping is comparable to the payload copy.
+// per-step bounding-box read cost through the reader-side copy-plan cache
+// vs compiling the copy plan on every read (util::compile_copy_plan +
+// execute_copy_plan over the writer blocks) across fan-in shapes, plus the
+// zero-copy view path on writer-aligned boxes.  Small blocks on purpose —
+// the cache removes per-read intersection/plan bookkeeping, so the effect
+// is largest when bookkeeping is comparable to the payload copy.
 //
 // Usage: micro_redistribution [--smoke]
 // Writes BENCH_micro_redistribution.json (see bench_util.hpp JsonReport).
 #include <cstdio>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -38,9 +41,12 @@ struct MxnShape {
 };
 
 // Streams `steps` steps of an n x m doubles array written as `writers`
-// row-slabs; the reader pulls `readers` column-slab boxes per step.  Only
-// the read calls are timed (begin_step's wait on the producer is not).
-// Returns the per-step read seconds, one sample per step.
+// row-slabs; the reader pulls `readers` column-slab boxes per step, through
+// ReaderPort::read_bytes (`cached`) or by compiling and executing a copy
+// plan per writer block on every read, the work the cache saves.  The
+// uncached arm takes the writer blocks as zero-copy views before its timer
+// starts.  Only the reads are timed (begin_step's wait on the producer is
+// not).  Returns the per-step read seconds, one sample per step.
 std::vector<double> run_cross_cut(const MxnShape& s, std::uint64_t steps,
                                   bool cached) {
     fp::Fabric fabric;
@@ -60,15 +66,34 @@ std::vector<double> run_cross_cut(const MxnShape& s, std::uint64_t steps,
     });
 
     fp::ReaderPort reader(fabric, "mxn", 0, 1);
-    reader.set_plan_cache_enabled(cached);
     std::vector<double> samples;
     std::vector<double> buf;
+    std::vector<std::pair<u::Box, std::span<const std::byte>>> blocks;
     while (reader.begin_step()) {
+        blocks.clear();
+        if (!cached) {
+            for (int w = 0; w < s.writers; ++w) {
+                const u::Box b = u::partition_along(shape, 0, w, s.writers);
+                const auto view = reader.try_read_view_bytes("a", b);
+                if (!view) throw std::runtime_error("writer block not zero-copyable");
+                blocks.emplace_back(b, *view);
+            }
+        }
         u::WallTimer t;
         for (int r = 0; r < s.readers; ++r) {
             const u::Box box = u::partition_along(shape, 1, r, s.readers);
             buf.resize(box.volume());
-            reader.read_bytes("a", box, std::as_writable_bytes(std::span(buf)));
+            const auto dest = std::as_writable_bytes(std::span(buf));
+            if (cached) {
+                reader.read_bytes("a", box, dest);
+                continue;
+            }
+            for (const auto& [b, data] : blocks) {
+                const auto region = u::intersect(b, box);
+                if (!region) continue;
+                u::execute_copy_plan(
+                    data, dest, u::compile_copy_plan(b, box, *region, sizeof(double)));
+            }
         }
         samples.push_back(t.seconds());
         reader.end_step();

@@ -217,6 +217,38 @@ std::string label_or_empty(const std::vector<std::string>& labels, std::size_t d
     return d < labels.size() ? labels[d] : std::string{};
 }
 
+/// Gathers `rows` rows along dimension `dim` of a dense row-major block of
+/// extents `src_count` (elements of `elem` bytes) into `dst`, which has the
+/// same extents except `rows` along `dim`: destination row j is source row
+/// `row_of(j)`.  One memcpy per row and outer index, fixed-size when a row
+/// is one 8-byte element (a 1-D double array).
+template <typename RowOf>
+void gather_rows(std::span<const std::byte> src, const std::vector<std::uint64_t>& src_count,
+                 std::size_t dim, std::size_t elem, std::uint64_t rows, RowOf row_of,
+                 std::span<std::byte> dst) {
+    std::size_t outer = 1;
+    for (std::size_t d = 0; d < dim; ++d) outer *= src_count[d];
+    std::size_t row_bytes = elem;
+    for (std::size_t d = dim + 1; d < src_count.size(); ++d) row_bytes *= src_count[d];
+    if (outer == 0 || rows == 0 || row_bytes == 0) return;
+    const std::size_t src_block = src_count[dim] * row_bytes;
+    const std::size_t dst_block = rows * row_bytes;
+    for (std::size_t o = 0; o < outer; ++o) {
+        const std::byte* s = src.data() + o * src_block;
+        std::byte* d = dst.data() + o * dst_block;
+        if (row_bytes == sizeof(double)) {
+            for (std::uint64_t j = 0; j < rows; ++j) {
+                std::memcpy(d + j * sizeof(double), s + row_of(j) * sizeof(double),
+                            sizeof(double));
+            }
+        } else {
+            for (std::uint64_t j = 0; j < rows; ++j) {
+                std::memcpy(d + j * row_bytes, s + row_of(j) * row_bytes, row_bytes);
+            }
+        }
+    }
+}
+
 /// One rank of one fused chain, head stream to tail endpoint.
 class ChainRun {
 public:
@@ -394,9 +426,19 @@ private:
         s.partial = dim;
     }
 
+    /// Reads `box` of the head array: straight off the transport payload
+    /// when the box lines up with one writer block, else copied into pooled
+    /// storage that `owned` keeps alive.
+    std::span<const std::byte> read_box(const std::string& array, const util::Box& box,
+                                        adios::DataKind kind, util::PooledBytes& owned) {
+        if (const auto view = reader_.try_read_view_bytes(array, box)) return *view;
+        owned = util::acquire_bytes(box.volume() * ffs::kind_size(kind));
+        reader_.read_bytes(array, box, *owned);
+        return *owned;
+    }
+
     /// Head ingest for the slab-reading stages: this rank's partition along
-    /// `pdim`, straight off the transport payload when the slab lines up
-    /// with one writer block.
+    /// `pdim`.
     void read_head(const FusedStage& st, std::size_t pdim, std::uint64_t& bytes_in) {
         const adios::VarInfo info = reader_.inq_var(st.in_array);
         Slab s;
@@ -405,13 +447,7 @@ private:
         s.dim_labels = info.dim_labels;
         s.box = util::partition_along(info.shape, pdim, rank_, size_);
         s.partial = pdim;
-        if (const auto view = reader_.try_read_view_bytes(st.in_array, s.box)) {
-            s.data = *view;
-        } else {
-            s.owned = util::acquire_bytes(s.box.volume() * ffs::kind_size(info.kind));
-            reader_.read_bytes(st.in_array, s.box, *s.owned);
-            s.data = *s.owned;
-        }
+        s.data = read_box(st.in_array, s.box, info.kind, s.owned);
         bytes_in = s.data.size();
         slab_ = std::move(s);
     }
@@ -596,20 +632,9 @@ private:
                 out.box = out_box;
                 out.partial = slab_.partial;
                 out.owned = util::acquire_bytes(out_box.volume() * elem);
-                std::vector<std::byte> tmp;
-                for (std::size_t j = 0; j < rows.size(); ++j) {
-                    util::Box row_in = slab_.box;
-                    row_in.offset[dim] = rows[j];
-                    row_in.count[dim] = 1;
-                    tmp.resize(row_in.volume() * elem);
-                    util::copy_box(slab_.data, slab_.box, tmp, row_in, row_in, elem);
-                    util::Box row_out = out_box;
-                    row_out.offset[dim] = j;
-                    row_out.count[dim] = 1;
-                    // tmp has the row's dense layout; relabel it in output
-                    // coordinates, as the head's row reads do.
-                    util::copy_box(tmp, row_out, *out.owned, out_box, row_out, elem);
-                }
+                // `dim` is whole here, so a row's index is its slab row.
+                gather_rows(slab_.data, slab_.box.count, dim, elem, rows.size(),
+                            [&](std::uint64_t j) { return rows[j]; }, *out.owned);
                 out.data = *out.owned;
                 slab_ = std::move(out);
             } else {
@@ -625,11 +650,9 @@ private:
                 out.box = util::Box({j_begin}, {j_count});
                 out.partial = 0;
                 out.owned = util::acquire_bytes(j_count * elem);
-                const std::byte* src = slab_.data.data();
-                for (std::uint64_t j = 0; j < j_count; ++j) {
-                    std::memcpy(out.owned->data() + j * elem,
-                                src + rows[j_begin + j] * elem, elem);
-                }
+                gather_rows(slab_.data, slab_.box.count, 0, elem, j_count,
+                            [&](std::uint64_t j) { return rows[j_begin + j]; },
+                            *out.owned);
                 out.data = *out.owned;
                 slab_ = std::move(out);
             }
@@ -766,19 +789,18 @@ private:
             out.box = out_box;
             out.partial = dim;
             out.owned = util::acquire_bytes(out_box.volume() * elem);
-            std::vector<std::byte> tmp;
-            for (std::uint64_t j = 0; j < k_cnt; ++j) {
-                util::Box row_in = util::Box::whole(shape);
-                row_in.offset[dim] = (k_off + j) * st.stride;
-                row_in.count[dim] = 1;
-                tmp.resize(row_in.volume() * elem);
-                reader_.read_bytes(st.in_array, row_in, tmp);
-                bytes_in += tmp.size();
-                util::Box row_out = out_box;
-                row_out.offset[dim] = k_off + j;
-                row_out.count[dim] = 1;
-                util::copy_box(tmp, row_out, *out.owned, out_box, row_out, elem);
+            if (k_cnt > 0) {
+                // One read of the slab spanning this rank's kept rows, which
+                // are its rows 0, stride, 2*stride, ...
+                util::Box in_box = util::Box::whole(shape);
+                in_box.offset[dim] = k_off * st.stride;
+                in_box.count[dim] = (k_cnt - 1) * st.stride + 1;
+                util::PooledBytes buf;
+                const auto in = read_box(st.in_array, in_box, info.kind, buf);
+                gather_rows(in, in_box.count, dim, elem, k_cnt,
+                            [&](std::uint64_t j) { return j * st.stride; }, *out.owned);
             }
+            bytes_in = out.owned->size();
             out.data = *out.owned;
             slab_ = std::move(out);
         } else {
@@ -808,18 +830,10 @@ private:
             out.box = out_box;
             out.partial = slab_.partial;
             out.owned = util::acquire_bytes(out_box.volume() * elem);
-            std::vector<std::byte> tmp;
-            for (std::uint64_t k = k_lo; k < k_hi; ++k) {
-                util::Box row_in = slab_.box;
-                row_in.offset[dim] = k * st.stride;
-                row_in.count[dim] = 1;
-                tmp.resize(row_in.volume() * elem);
-                util::copy_box(slab_.data, slab_.box, tmp, row_in, row_in, elem);
-                util::Box row_out = out_box;
-                row_out.offset[dim] = k;
-                row_out.count[dim] = 1;
-                util::copy_box(tmp, row_out, *out.owned, out_box, row_out, elem);
-            }
+            const std::uint64_t first = k_lo * st.stride - off;  // slab row of k_lo
+            gather_rows(slab_.data, slab_.box.count, dim, elem, k_hi - k_lo,
+                        [&](std::uint64_t j) { return first + j * st.stride; },
+                        *out.owned);
             out.data = *out.owned;
             slab_ = std::move(out);
         }

@@ -45,8 +45,8 @@
 // fused runs never error where unfused runs would not.
 //
 // Gating: SB_FUSE env (unset -> on; "off"/"0"/"false" -> off), overridable
-// per workflow via Workflow::set_fusion — mirrors SB_PLAN_CACHE /
-// SB_READ_AHEAD.  Off runs every instance as its own one-stage unit.
+// per workflow via Workflow::set_fusion — mirrors SB_READ_AHEAD.  Off runs
+// every instance as its own one-stage unit.
 #pragma once
 
 #include <cstdint>

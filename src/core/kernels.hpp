@@ -12,7 +12,7 @@
 //
 // Gating: the active schedule resolves once from the SB_SIMD environment
 // variable (unset/anything -> Simd, "off"/"0"/"false" -> Scalar), mirroring
-// SB_PLAN_CACHE / SB_FUSE; set_schedule() overrides it for A/B benches.
+// SB_FUSE; set_schedule() overrides it for A/B benches.
 //
 // Bit-identity contract (docs/PERFORMANCE.md): magnitude, histogram,
 // threshold, and the copies are bit-identical across schedules (per-element

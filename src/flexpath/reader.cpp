@@ -1,6 +1,5 @@
 #include "flexpath/reader.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "check/lifetime.hpp"
@@ -9,27 +8,9 @@
 
 namespace sb::flexpath {
 
-namespace {
-
-/// Stale-generation plans are pruned once the cache grows past this; a
-/// steady-state workflow re-requests the same boxes every step, so live
-/// plans number (vars x boxes per rank), far below the bound.
-constexpr std::size_t kMaxPlans = 1024;
-
-bool plan_cache_enabled_from_env() {
-    const char* v = std::getenv("SB_PLAN_CACHE");
-    if (!v) return true;
-    const std::string s(v);
-    return !(s == "off" || s == "0" || s == "false");
-}
-
-}  // namespace
-
 ReaderPort::ReaderPort(Fabric& fabric, const std::string& stream_name, int rank,
                        int nranks)
-    : stream_(fabric.get(stream_name)),
-      rank_(rank),
-      plan_cache_enabled_(plan_cache_enabled_from_env()) {
+    : stream_(fabric.get(stream_name)), rank_(rank) {
     // Resume cursor: 0 on a fresh stream, or the oldest un-acknowledged
     // step when this port belongs to a restarted component incarnation
     // replacing a detached reader group (replay).
@@ -140,12 +121,17 @@ const ReaderPort::CachedPlan& ReaderPort::plan_for(const std::string& var,
     plan_misses_->inc();
 
     if (it == plans_.end()) {
-        // A new key into a grown cache: drop plans from dead generations
+        // A new key into a full cache: drop plans from dead generations
         // first (a layout change strands every previously compiled plan).
+        // If live plans still fill more than half the cache, the working
+        // set exceeds the bound: start over.  Either way at least
+        // kMaxPlans / 2 inserts pass before the next scan, so a miss costs
+        // amortised O(1) map work.
         if (plans_.size() >= kMaxPlans) {
             std::erase_if(plans_, [&](const auto& kv) {
                 return kv.second.layout_gen != current_->layout_gen;
             });
+            if (plans_.size() > kMaxPlans / 2) plans_.clear();
         }
         it = plans_.emplace(PlanKey{var, box.offset, box.count}, std::move(plan))
                  .first;
@@ -188,20 +174,10 @@ void ReaderPort::read_bytes(const std::string& var, const util::Box& box,
     const auto bit = current_->blocks.find(var);
     const std::vector<Block>* blocks =
         bit == current_->blocks.end() ? nullptr : &bit->second;
-    if (plan_cache_enabled_) {
-        const CachedPlan& plan = plan_for(var, decl, box, elem);
-        for (const auto& br : plan.blocks) {
-            const Block& b = (*blocks)[br.block];
-            util::execute_copy_plan(std::span<const std::byte>(*b.data), dest,
-                                    br.runs);
-        }
-    } else {
-        const CachedPlan plan = compile_plan(blocks, var, box, elem);
-        for (const auto& br : plan.blocks) {
-            const Block& b = (*blocks)[br.block];
-            util::execute_copy_plan(std::span<const std::byte>(*b.data), dest,
-                                    br.runs);
-        }
+    const CachedPlan& plan = plan_for(var, decl, box, elem);
+    for (const auto& br : plan.blocks) {
+        const Block& b = (*blocks)[br.block];
+        util::execute_copy_plan(std::span<const std::byte>(*b.data), dest, br.runs);
     }
     bytes_read_->add(box.volume() * elem);
     reads_->inc();
@@ -219,22 +195,11 @@ ReaderPort::try_read_view_bytes(const std::string& var, const util::Box& box) co
     const auto bit = current_->blocks.find(var);
     if (bit == current_->blocks.end()) return std::nullopt;
 
-    const Block* exact = nullptr;
-    if (plan_cache_enabled_) {
-        // Resolving through the plan cache means a later fallback
-        // read_bytes of the same box replays the already compiled plan.
-        const CachedPlan& plan = plan_for(var, decl, box, elem);
-        if (plan.exact_block < 0) return std::nullopt;
-        exact = &bit->second[static_cast<std::size_t>(plan.exact_block)];
-    } else {
-        for (const Block& b : bit->second) {
-            if (b.box == box) {
-                exact = &b;
-                break;
-            }
-        }
-        if (!exact) return std::nullopt;
-    }
+    // Resolving through the plan cache means a later fallback read_bytes of
+    // the same box replays the already compiled plan.
+    const CachedPlan& plan = plan_for(var, decl, box, elem);
+    if (plan.exact_block < 0) return std::nullopt;
+    const Block* exact = &bit->second[static_cast<std::size_t>(plan.exact_block)];
     zero_copy_reads_->inc();
     bytes_read_->add(box.volume() * elem);
     reads_->inc();

@@ -14,7 +14,8 @@
 // Redistribution fast path: the first read of a (var, box) resolves the
 // writer-block intersections into a flat copy plan of contiguous runs,
 // cached and replayed on subsequent steps for as long as the writer layout
-// generation (StepData::layout_gen) is unchanged.  When the requested box
+// generation (StepData::layout_gen) is unchanged.  The cache holds at most
+// kMaxPlans plans (see plan_for).  When the requested box
 // coincides exactly with a single writer block, try_read_view returns a
 // zero-copy span pinned by the step's shared payload instead.
 #pragma once
@@ -110,9 +111,13 @@ public:
 
     int rank() const noexcept { return rank_; }
 
-    /// Disables/enables the copy-plan cache (benchmarking the uncached
-    /// path; also honours SB_PLAN_CACHE=off at construction).
-    void set_plan_cache_enabled(bool on) noexcept { plan_cache_enabled_ = on; }
+    /// Upper bound on the cached copy plans.  A steady-state workflow
+    /// re-requests the same boxes every step, so its live plans number
+    /// (vars x boxes per rank), far below the bound.
+    static constexpr std::size_t kMaxPlans = 1024;
+
+    /// Number of copy plans currently cached (never more than kMaxPlans).
+    std::size_t plan_cache_size() const noexcept { return plans_.size(); }
 
 private:
     /// A (var, box) read resolved against one writer layout generation:
@@ -172,7 +177,6 @@ private:
     const StepMeta* meta_ = nullptr;  // points into current_'s shared cache
     std::uint64_t cursor_ = 0;  // steps completed by this rank
     int rank_ = 0;
-    bool plan_cache_enabled_ = true;
     mutable std::map<PlanKey, CachedPlan, PlanKeyLess> plans_;
     obs::Counter* bytes_read_ = nullptr;   // flexpath.bytes_read{rank=,stream=}
     obs::Counter* reads_ = nullptr;        // flexpath.reads{rank=,stream=}

@@ -14,8 +14,8 @@
 // replayable step by construction.
 //
 // A/B gate: the SB_POOL env var ("off"/"0"/"false" disables; anything else,
-// or unset, enables) mirrors SB_PLAN_CACHE, and set_enabled() overrides it
-// programmatically (benches toggle legs this way).  Disabled, acquire() is a
+// or unset, enables), and set_enabled() overrides it programmatically
+// (benches toggle legs this way).  Disabled, acquire() is a
 // plain allocation and retired buffers free normally — byte-for-byte the
 // seed's allocation behaviour.
 //

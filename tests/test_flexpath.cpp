@@ -550,35 +550,105 @@ TEST(Flexpath, StepMetaDecodedOncePerStep) {
     b.end_step();
 }
 
-// SB_PLAN_CACHE=off (mirrored by set_plan_cache_enabled) keeps reads
-// correct while recompiling every time — the bench's A/B baseline.
-TEST(Flexpath, PlanCacheDisabledStillCorrect) {
+// The cached read of a cross-cut box equals assembling it from a copy plan
+// compiled afresh per writer block (util::compile_copy_plan +
+// execute_copy_plan over zero-copy views of the blocks), on the step that
+// compiles the plan and on the step that replays it.
+TEST(Flexpath, FreshlyCompiledPlanMatchesCachedRead) {
     fp::Fabric fabric;
     const u::NdShape shape{8, 8};
 
     std::jthread writer([&] {
-        fp::WriterPort port(fabric, "nocache", 0, 1, fp::StreamOptions{2});
+        fp::WriterPort port(fabric, "fresh-plan", 0, 1, fp::StreamOptions{2});
         put_row_slabs(port, shape, 2, 0.0);
         put_row_slabs(port, shape, 2, 1.0);
         port.close();
     });
 
     const double hits0 = counter_total("flexpath.plan_hits");
-    fp::ReaderPort reader(fabric, "nocache", 0, 1);
-    reader.set_plan_cache_enabled(false);
+    fp::ReaderPort reader(fabric, "fresh-plan", 0, 1);
     const u::Box box({1, 1}, {6, 6});
     std::uint64_t t = 0;
     while (reader.begin_step()) {
-        const auto data = reader.read<double>("a", box);
-        EXPECT_EQ(data.size(), box.volume());
-        for (std::size_t k = 0; k < data.size(); ++k) {
-            EXPECT_GE(data[k], static_cast<double>(t));
+        const auto cached = reader.read<double>("a", box);
+        std::vector<double> fresh(box.volume(), -1.0);
+        for (int w = 0; w < 2; ++w) {
+            const u::Box b = u::partition_along(shape, 0, w, 2);
+            const auto view = reader.try_read_view_bytes("a", b);
+            ASSERT_TRUE(view.has_value());
+            const auto region = u::intersect(b, box);
+            ASSERT_TRUE(region.has_value());
+            u::execute_copy_plan(*view, std::as_writable_bytes(std::span(fresh)),
+                                 u::compile_copy_plan(b, box, *region, sizeof(double)));
         }
+        EXPECT_EQ(cached, fresh) << "step " << t;
         reader.end_step();
         ++t;
     }
     EXPECT_EQ(t, 2u);
-    EXPECT_EQ(counter_total("flexpath.plan_hits") - hits0, 0.0);
+    // Step 1 replayed the box's plan (and the two block views') from step 0.
+    EXPECT_EQ(counter_total("flexpath.plan_hits") - hits0, 3.0);
+}
+
+// The copy-plan cache never holds more than kMaxPlans plans, however many
+// distinct boxes one step reads, and a live set that fits the bound still
+// hits on every read once compiled.
+TEST(Flexpath, PlanCacheStaysBounded) {
+    constexpr std::size_t kMax = fp::ReaderPort::kMaxPlans;
+    constexpr std::uint64_t n = 4 * kMax;
+    fp::Fabric fabric;
+
+    std::jthread writer([&] {
+        fp::WriterPort port(fabric, "bounded-plans", 0, 1, fp::StreamOptions{2});
+        std::vector<double> data(n);
+        for (std::uint64_t i = 0; i < n; ++i) data[i] = static_cast<double>(i);
+        for (int t = 0; t < 4; ++t) {
+            port.declare(fp::VarDecl{"a", fp::DataKind::Float64, u::NdShape{n}, {}});
+            port.put<double>("a", u::Box({0}, {n}), data);
+            port.end_step();
+        }
+        port.close();
+    });
+
+    auto& reg = sb::obs::Registry::global();
+    const sb::obs::Labels labels{{"stream", "bounded-plans"}, {"rank", "0"}};
+    const auto lookups = [&] {
+        return std::pair{reg.counter("flexpath.plan_hits", labels).value(),
+                         reg.counter("flexpath.plan_misses", labels).value()};
+    };
+
+    fp::ReaderPort reader(fabric, "bounded-plans", 0, 1);
+    double v = 0.0;
+    // Step 0: 3 x kMaxPlans distinct one-element boxes.
+    ASSERT_TRUE(reader.begin_step());
+    for (std::uint64_t i = 0; i < 3 * kMax; ++i) {
+        reader.read_bytes("a", u::Box({i}, {1}), std::as_writable_bytes(std::span(&v, 1)));
+        ASSERT_EQ(v, static_cast<double>(i));
+        ASSERT_LE(reader.plan_cache_size(), kMax) << "after read " << i;
+    }
+    reader.end_step();
+
+    // Steps 1-3: the same kMaxPlans boxes each step, every third box of
+    // step 0's.  Step 1 compiles them all; steps 2 and 3 replay every one.
+    for (std::uint64_t t = 1; t < 4; ++t) {
+        ASSERT_TRUE(reader.begin_step());
+        const auto [hits0, misses0] = lookups();
+        for (std::uint64_t i = 0; i < kMax; ++i) {
+            const std::uint64_t off = 3 * i;
+            reader.read_bytes("a", u::Box({off}, {1}),
+                              std::as_writable_bytes(std::span(&v, 1)));
+            ASSERT_EQ(v, static_cast<double>(off));
+            ASSERT_LE(reader.plan_cache_size(), kMax);
+        }
+        const auto [hits1, misses1] = lookups();
+        if (t == 1) {
+            EXPECT_EQ(misses1 - misses0, std::uint64_t{kMax});
+        } else {
+            EXPECT_EQ(hits1 - hits0, std::uint64_t{kMax}) << "step " << t;
+            EXPECT_EQ(misses1 - misses0, 0u) << "step " << t;
+        }
+        reader.end_step();
+    }
 }
 
 // ---- reader-side step pipelining ------------------------------------------

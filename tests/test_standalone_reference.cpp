@@ -1,8 +1,10 @@
 // Standalone runs of the seven fusible components against references
 // computed here with plain loops, independent of the chain executor that
 // now runs them: each component runs alone in a Workflow at 1, 2 and 3
-// ranks, fed seeded arrays by a WriterPort source, and its output must match
-// the reference bit for bit (moments: to a closed-form tolerance).
+// ranks (downsample at 1-5), fed seeded arrays by a WriterPort source, and
+// its output must match the reference bit for bit (moments: to a
+// closed-form tolerance).  Downsample also runs fused after magnitude, and
+// its standalone read count is pinned.
 //
 // The second half pins argument handling: Workflow::run raises the same
 // util::ArgError text for malformed arguments, ports() throws only for
@@ -23,6 +25,7 @@
 #include "core/registry.hpp"
 #include "core/workflow.hpp"
 #include "flexpath/writer.hpp"
+#include "obs/metrics.hpp"
 
 namespace a = sb::adios;
 namespace core = sb::core;
@@ -81,18 +84,25 @@ void register_source() {
     }
 }
 
-/// Runs ref-source -> `component` (alone, at `nprocs`) and returns every
-/// step of `out_array` on "out.fp" as a full array.  File-endpoint
-/// components pass an empty `out_array`.
-std::vector<std::vector<double>> run_alone(const std::string& component, int nprocs,
-                                           std::vector<std::string> args,
-                                           const std::string& out_array = "") {
+struct Stage {
+    std::string component;
+    std::vector<std::string> args;
+};
+
+/// Runs ref-source -> `stages` (each at `nprocs`) and returns every step of
+/// `out_array` on "out.fp" as a full array.  File-endpoint components pass
+/// an empty `out_array`.  A single stage runs alone; several run fused.
+std::vector<std::vector<double>> run_stages(const std::vector<Stage>& stages, int nprocs,
+                                            const std::string& out_array) {
     register_source();
     fp::Fabric fabric;
     core::Workflow wf(fabric);
     wf.add("ref-source", 1, {"in.fp"});
-    wf.add(component, nprocs, std::move(args));
-    EXPECT_FALSE(wf.fusion_plan().fused(1));
+    for (const Stage& st : stages) wf.add(st.component, nprocs, st.args);
+    if (stages.size() > 1) wf.set_fusion(core::FusionMode::On);
+    for (std::size_t i = 1; i <= stages.size(); ++i) {
+        EXPECT_EQ(wf.fusion_plan().fused(i), stages.size() > 1);
+    }
 
     std::vector<std::vector<double>> out;
     std::jthread reader;
@@ -108,6 +118,31 @@ std::vector<std::vector<double>> run_alone(const std::string& component, int npr
     }
     wf.run();
     if (reader.joinable()) reader.join();
+    return out;
+}
+
+/// Runs ref-source -> `component` alone at `nprocs`; see run_stages.
+std::vector<std::vector<double>> run_alone(const std::string& component, int nprocs,
+                                           std::vector<std::string> args,
+                                           const std::string& out_array = "") {
+    return run_stages({{component, std::move(args)}}, nprocs, out_array);
+}
+
+/// Plain-loop downsample: every `stride`-th index along `dim` of `in`.
+std::vector<double> downsample_ref(const std::vector<double>& in, const u::NdShape& shape,
+                                   std::size_t dim, std::uint64_t stride) {
+    std::uint64_t outer = 1;
+    std::uint64_t inner = 1;
+    for (std::size_t d = 0; d < dim; ++d) outer *= shape[d];
+    for (std::size_t d = dim + 1; d < shape.ndim(); ++d) inner *= shape[d];
+    std::vector<double> out;
+    for (std::uint64_t o = 0; o < outer; ++o) {
+        for (std::uint64_t r = 0; r < shape[dim]; r += stride) {
+            for (std::uint64_t i = 0; i < inner; ++i) {
+                out.push_back(in[(o * shape[dim] + r) * inner + i]);
+            }
+        }
+    }
     return out;
 }
 
@@ -195,22 +230,77 @@ TEST(StandaloneReference, DimReduce) {
     }
 }
 
+// 2-D along dim 0, 3-D along a middle and the last dimension, stride 1
+// (the whole array) and stride > extent (one row); with more ranks than
+// kept rows, some ranks keep none.
 TEST(StandaloneReference, Downsample) {
-    seed_feed(u::NdShape{10, 4});
-    for (const int np : {1, 2, 3}) {
-        SCOPED_TRACE("nprocs " + std::to_string(np));
-        const auto got = run_alone("downsample", np,
-                                   {"in.fp", "x", "0", "3", "out.fp", "d"}, "d");
-        ASSERT_EQ(got.size(), kSteps);
-        for (std::uint64_t t = 0; t < kSteps; ++t) {
-            std::vector<double> want;
-            for (std::uint64_t r = 0; r < 10; r += 3) {
-                for (std::uint64_t c = 0; c < 4; ++c) {
-                    want.push_back(g_feed.steps[t][r * 4 + c]);
-                }
+    struct Case {
+        u::NdShape shape;
+        std::size_t dim;
+        std::uint64_t stride;
+    };
+    const std::vector<Case> cases = {
+        {u::NdShape{10, 4}, 0, 3}, {u::NdShape{3, 7, 5}, 1, 2},
+        {u::NdShape{3, 7, 5}, 2, 3}, {u::NdShape{3, 7, 5}, 1, 1},
+        {u::NdShape{3, 7, 5}, 2, 9},
+    };
+    for (const Case& c : cases) {
+        seed_feed(c.shape);
+        for (const int np : {1, 2, 3, 4, 5}) {
+            SCOPED_TRACE(c.shape.to_string() + " dim " + std::to_string(c.dim) + " stride " +
+                         std::to_string(c.stride) + " nprocs " + std::to_string(np));
+            const auto got = run_alone("downsample", np,
+                                       {"in.fp", "x", std::to_string(c.dim),
+                                        std::to_string(c.stride), "out.fp", "d"},
+                                       "d");
+            ASSERT_EQ(got.size(), kSteps);
+            for (std::uint64_t t = 0; t < kSteps; ++t) {
+                EXPECT_EQ(got[t], downsample_ref(g_feed.steps[t], c.shape, c.dim, c.stride));
             }
-            EXPECT_EQ(got[t], want);
         }
+    }
+}
+
+// A standalone downsample reads its input once per rank per step: one slab
+// covering the rank's kept rows, not one read per row.
+TEST(StandaloneReference, DownsampleReadsOneSlabPerRankPerStep) {
+    seed_feed(u::NdShape{40, 3});
+    constexpr int kRanks = 3;  // 14 kept rows: every rank keeps some
+    auto& reg = sb::obs::Registry::global();
+    const auto reads = [&](int rank) {
+        return reg.counter("flexpath.reads",
+                           {{"stream", "in.fp"}, {"rank", std::to_string(rank)}})
+            .value();
+    };
+    std::vector<std::uint64_t> before;
+    for (int r = 0; r < kRanks; ++r) before.push_back(reads(r));
+    const auto got =
+        run_alone("downsample", kRanks, {"in.fp", "x", "0", "3", "out.fp", "d"}, "d");
+    ASSERT_EQ(got.size(), kSteps);
+    for (int r = 0; r < kRanks; ++r) {
+        EXPECT_EQ(reads(r) - before[r], kSteps) << "rank " << r;
+    }
+}
+
+// Fused magnitude -> downsample at 3 ranks: the magnitude slabs of 10 rows
+// start at rows 0, 4 and 7, so the third is not aligned to the stride of 4.
+TEST(StandaloneReference, FusedMagnitudeDownsample) {
+    seed_feed(u::NdShape{10, 3});
+    const auto got = run_stages({{"magnitude", {"in.fp", "x", "mid.fp", "m"}},
+                                 {"downsample", {"mid.fp", "m", "0", "4", "out.fp", "d"}}},
+                                3, "d");
+    ASSERT_EQ(got.size(), kSteps);
+    for (std::uint64_t t = 0; t < kSteps; ++t) {
+        std::vector<double> want;
+        for (std::uint64_t i = 0; i < 10; i += 4) {
+            double s = 0.0;
+            for (std::uint64_t c = 0; c < 3; ++c) {
+                const double v = g_feed.steps[t][i * 3 + c];
+                s += v * v;
+            }
+            want.push_back(std::sqrt(s));
+        }
+        EXPECT_EQ(got[t], want);
     }
 }
 
