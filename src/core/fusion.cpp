@@ -546,117 +546,87 @@ private:
     void stage_select(const FusedStage& st, bool head, std::uint64_t& bytes_in) {
         const std::size_t dim = st.dim;
         if (head) {
+            // The head describes its input first; it reads only once every
+            // check below has passed.
             const adios::VarInfo info = reader_.inq_var(st.in_array);
-            const util::NdShape shape = info.shape;
-            if (dim >= shape.ndim()) {
-                throw std::runtime_error("select: dimension-index " +
-                                         std::to_string(dim) + " out of range for " +
-                                         shape.to_string());
-            }
-            const std::vector<std::uint64_t> rows = select_rows(st, shape);
-            util::NdShape out_shape = shape;
-            out_shape[dim] = rows.size();
-
-            // Partition along the largest other dimension, or across the
-            // selection itself on rank-1 input (no other dimension exists).
-            util::Box in_box;
-            std::uint64_t j_begin = 0;
-            std::uint64_t j_count = rows.size();
-            std::size_t partial = 0;
-            if (shape.ndim() > 1) {
-                partial = pick_partition_dim(shape, {dim});
-                in_box = util::partition_along(shape, partial, rank_, size_);
-            } else {
-                in_box = util::Box::whole(shape);
-                const auto [off, cnt] = util::partition_range(rows.size(), rank_, size_);
-                j_begin = off;
-                j_count = cnt;
-            }
-            util::Box out_box = in_box;
-            out_box.offset[dim] = j_begin;
-            out_box.count[dim] = j_count;
-
-            const std::size_t elem = ffs::kind_size(info.kind);
-            Slab out;
-            out.shape = out_shape;
-            out.kind = info.kind;
-            out.dim_labels = info.dim_labels;
-            out.box = out_box;
-            out.partial = partial;
-            out.owned = util::acquire_bytes(out_box.volume() * elem);
-            std::vector<std::byte> tmp;
-            for (std::uint64_t j = j_begin; j < j_begin + j_count; ++j) {
-                util::Box row_in = in_box;
-                row_in.offset[dim] = rows[j];
-                row_in.count[dim] = 1;
-                std::span<const std::byte> row;
-                if (const auto view = reader_.try_read_view_bytes(st.in_array, row_in)) {
-                    row = *view;
-                } else {
-                    tmp.resize(row_in.volume() * elem);
-                    reader_.read_bytes(st.in_array, row_in, tmp);
-                    row = tmp;
-                }
-                bytes_in += row.size();
-                util::Box row_out = out_box;
-                row_out.offset[dim] = j;
-                row_out.count[dim] = 1;
-                util::copy_box(row, row_out, *out.owned, out_box, row_out, elem);
-            }
-            out.data = *out.owned;
-            slab_ = std::move(out);
-        } else {
-            bytes_in = slab_.data.size();
-            if (dim >= slab_.shape.ndim()) {
-                throw std::runtime_error("select: dimension-index " +
-                                         std::to_string(dim) + " out of range for " +
-                                         slab_.shape.to_string());
-            }
-            const std::vector<std::uint64_t> rows = select_rows(st, slab_.shape);
-            const std::size_t elem = ffs::kind_size(slab_.kind);
-            if (slab_.shape.ndim() > 1) {
-                // Selected rows must be whole: re-partition away from `dim`
-                // when the stream used to provide that re-distribution.
-                if (slab_.partial == dim) {
-                    repartition(slab_, pick_partition_dim(slab_.shape, {dim}));
-                }
-                util::NdShape out_shape = slab_.shape;
-                out_shape[dim] = rows.size();
-                util::Box out_box = slab_.box;
-                out_box.offset[dim] = 0;
-                out_box.count[dim] = rows.size();
-                Slab out;
-                out.shape = out_shape;
-                out.kind = slab_.kind;
-                out.dim_labels = slab_.dim_labels;
-                out.box = out_box;
-                out.partial = slab_.partial;
-                out.owned = util::acquire_bytes(out_box.volume() * elem);
-                // `dim` is whole here, so a row's index is its slab row.
-                gather_rows(slab_.data, slab_.box.count, dim, elem, rows.size(),
-                            [&](std::uint64_t j) { return rows[j]; }, *out.owned);
-                out.data = *out.owned;
-                slab_ = std::move(out);
-            } else {
-                // Rank-1: every rank needs the whole array to take its share
-                // of the selection, like the head's whole-array row reads.
-                if (size_ > 1) gather_full(slab_);
-                const auto [j_begin, j_count] =
-                    util::partition_range(rows.size(), rank_, size_);
-                Slab out;
-                out.shape = util::NdShape({static_cast<std::uint64_t>(rows.size())});
-                out.kind = slab_.kind;
-                out.dim_labels = slab_.dim_labels;
-                out.box = util::Box({j_begin}, {j_count});
-                out.partial = 0;
-                out.owned = util::acquire_bytes(j_count * elem);
-                gather_rows(slab_.data, slab_.box.count, 0, elem, j_count,
-                            [&](std::uint64_t j) { return rows[j_begin + j]; },
-                            *out.owned);
-                out.data = *out.owned;
-                slab_ = std::move(out);
-            }
+            slab_.shape = info.shape;
+            slab_.kind = info.kind;
+            slab_.dim_labels = info.dim_labels;
         }
+        if (dim >= slab_.shape.ndim()) {
+            throw std::runtime_error("select: dimension-index " + std::to_string(dim) +
+                                     " out of range for " + slab_.shape.to_string());
+        }
+        const std::vector<std::uint64_t> rows = select_rows(st, slab_.shape);
+        const std::size_t elem = ffs::kind_size(slab_.kind);
+        const bool multi_dim = slab_.shape.ndim() > 1;
+        if (!head) {
+            bytes_in = slab_.data.size();
+        } else if (multi_dim) {
+            // One read of this rank's partition along another dimension: a
+            // zero-copy view when it lines up with a writer block, else a
+            // copy of only the span of selected rows (a copy of the whole
+            // partition would also move every unselected row).
+            slab_.partial = pick_partition_dim(slab_.shape, {dim});
+            slab_.box = util::partition_along(slab_.shape, slab_.partial, rank_, size_);
+            if (const auto view = reader_.try_read_view_bytes(st.in_array, slab_.box)) {
+                slab_.data = *view;
+            } else {
+                const auto [lo, hi] = std::minmax_element(rows.begin(), rows.end());
+                slab_.box.offset[dim] = *lo;
+                slab_.box.count[dim] = *hi - *lo + 1;
+                slab_.owned = util::acquire_bytes(slab_.box.volume() * elem);
+                reader_.read_bytes(st.in_array, slab_.box, *slab_.owned);
+                slab_.data = *slab_.owned;
+            }
+        } else {
+            // Rank-1 input is header-sized: every rank reads it whole.
+            slab_.box = util::Box::whole(slab_.shape);
+            slab_.data = read_box(st.in_array, slab_.box, slab_.kind, slab_.owned);
+        }
+        Slab out;
+        out.kind = slab_.kind;
+        out.dim_labels = slab_.dim_labels;
+        if (multi_dim) {
+            // Selected rows must be whole: re-partition away from `dim`
+            // when the stream used to provide that re-distribution.
+            if (slab_.partial == dim) {
+                repartition(slab_, pick_partition_dim(slab_.shape, {dim}));
+            }
+            out.shape = slab_.shape;
+            out.shape[dim] = rows.size();
+            out.box = slab_.box;
+            out.box.offset[dim] = 0;
+            out.box.count[dim] = rows.size();
+            out.partial = slab_.partial;
+            const std::uint64_t first = slab_.box.offset[dim];  // 0 unless a narrowed copy
+            bool in_order = slab_.owned && slab_.box.count[dim] == rows.size();
+            for (std::size_t j = 0; in_order && j < rows.size(); ++j) {
+                in_order = rows[j] == first + j;
+            }
+            if (in_order) {
+                out.owned = std::move(slab_.owned);  // the slab is the selection
+            } else {
+                out.owned = util::acquire_bytes(out.box.volume() * elem);
+                gather_rows(slab_.data, slab_.box.count, dim, elem, rows.size(),
+                            [&](std::uint64_t j) { return rows[j] - first; }, *out.owned);
+            }
+        } else {
+            // Rank-1: every rank needs the whole array to take its share of
+            // the selection; the head read it whole already.
+            if (!head && size_ > 1) gather_full(slab_);
+            const auto [j_begin, j_count] = util::partition_range(rows.size(), rank_, size_);
+            out.shape = util::NdShape({static_cast<std::uint64_t>(rows.size())});
+            out.box = util::Box({j_begin}, {j_count});
+            out.partial = 0;
+            out.owned = util::acquire_bytes(j_count * elem);
+            gather_rows(slab_.data, slab_.box.count, 0, elem, j_count,
+                        [&](std::uint64_t j) { return rows[j_begin + j]; }, *out.owned);
+        }
+        // The head's StepStats count the selected bytes, not the slab read.
+        if (head) bytes_in = out.owned->size();
+        out.data = *out.owned;
+        slab_ = std::move(out);
         attrs_ = apply_attr_rules(attrs_, AttrRules{st.in_array, st.out_array, {}, {dim}});
         attrs_.strings[header_attr_key(st.out_array, dim)] = st.wanted;
     }
@@ -686,14 +656,15 @@ private:
     void stage_threshold(const FusedStage& st, bool head, std::uint64_t& bytes_in) {
         ingest(st, head, 1, bytes_in);
         const std::span<const double> local = slab_.doubles();
-        std::vector<double> kept(local.size());
-        kept.resize(kernels::threshold_compact(local, st.tmode, st.lo, st.hi,
-                                               kept.data(), kernels::active_schedule()));
+        // Compacts straight into pooled storage sized for the whole slab.
+        util::PooledBytes kept = util::acquire_bytes(local.size() * sizeof(double));
+        const auto n = static_cast<std::uint64_t>(kernels::threshold_compact(
+            local, st.tmode, st.lo, st.hi, reinterpret_cast<double*>(kept->data()),
+            kernels::active_schedule()));
         // Global layout: ragged rank-ordered intervals (exscan offsets,
         // allreduce total).  Concatenation order equals global index order
         // under any of the executor's partitionings, so the composed output
         // is bit-identical to the unfused chain's.
-        const auto n = static_cast<std::uint64_t>(kept.size());
         const std::uint64_t offset = ctx_.comm.exscan(n, mpi::ReduceOp::Sum);
         const std::uint64_t total = ctx_.comm.allreduce(n, mpi::ReduceOp::Sum);
 
@@ -703,10 +674,8 @@ private:
         out.dim_labels = {label_or_empty(slab_.dim_labels, 0)};
         out.box = util::Box({offset}, {n});
         out.partial = 0;
-        out.owned = util::acquire_bytes(kept.size() * sizeof(double));
-        if (!kept.empty()) {
-            std::memcpy(out.owned->data(), kept.data(), out.owned->size());
-        }
+        kept->resize(n * sizeof(double));  // shrink only: the pool keys on capacity
+        out.owned = std::move(kept);
         out.data = *out.owned;
         attrs_ = apply_attr_rules(attrs_, AttrRules{st.in_array, st.out_array, {0}, {}});
         attrs_.doubles[st.out_array + ".count"] = static_cast<double>(total);

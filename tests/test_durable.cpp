@@ -612,8 +612,9 @@ TEST_F(DurableTest, ColdRestartResumesBitIdentically) {
 }
 
 TEST_F(DurableTest, ColdRestartNeverDuplicatesSinkRows) {
-    // The sink is present in run 1 and writes some rows before the crash.
-    // If the crash lands between a file write and the input step's ack, the
+    // The sink itself crashes at its third step, after writing that step's
+    // rows and before acking its input step (the "component.step" fault
+    // point fires once a step's rows are written, fused or not).  The
     // replay is at-least-once: the restarted sink must *skip* the rows its
     // previous incarnation already wrote instead of appending duplicates.
     sb::sim::register_simulations();
@@ -632,7 +633,7 @@ TEST_F(DurableTest, ColdRestartNeverDuplicatesSinkRows) {
     opts.durable.dir = dir.string();
     opts.durable.mode = d::Mode::On;
 
-    ft::Registry::global().arm(ft::parse_spec("component.step:magnitude=crash@3"));
+    ft::Registry::global().arm(ft::parse_spec("component.step:histogram=crash@3"));
     {
         fp::Fabric fabric;
         sb::core::Workflow wf = sb::core::build_workflow(fabric, script(hist), opts);

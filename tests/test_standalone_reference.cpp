@@ -3,8 +3,9 @@
 // now runs them: each component runs alone in a Workflow at 1, 2 and 3
 // ranks (downsample at 1-5), fed seeded arrays by a WriterPort source, and
 // its output must match the reference bit for bit (moments: to a
-// closed-form tolerance).  Downsample also runs fused after magnitude, and
-// its standalone read count is pinned.
+// closed-form tolerance).  Downsample also runs fused after magnitude,
+// select fused after downsample, and the standalone select and downsample
+// read counts are pinned.
 //
 // The second half pins argument handling: Workflow::run raises the same
 // util::ArgError text for malformed arguments, ports() throws only for
@@ -39,17 +40,17 @@ constexpr std::uint64_t kSteps = 3;
 /// What "ref-source" publishes on "in.fp": seeded steps of array "x".
 struct Feed {
     u::NdShape shape;
-    std::vector<std::string> header;  // row names of the last dimension
+    std::vector<std::vector<std::string>> headers;  // row names per dimension ({}: none)
     std::vector<std::vector<double>> steps;
 };
 Feed g_feed;
 
 /// Seeds g_feed with kSteps arrays of `shape`, values uniform in [-4, 4).
-void seed_feed(u::NdShape shape, std::vector<std::string> header = {}) {
+void seed_feed(u::NdShape shape, std::vector<std::vector<std::string>> headers = {}) {
     std::mt19937_64 rng(20170529);
     std::uniform_real_distribution<double> dist(-4.0, 4.0);
     g_feed.shape = shape;
-    g_feed.header = std::move(header);
+    g_feed.headers = std::move(headers);
     g_feed.steps.assign(kSteps, std::vector<double>(shape.volume()));
     for (auto& step : g_feed.steps) {
         for (double& v : step) v = dist(rng);
@@ -67,10 +68,13 @@ public:
     void run(core::RunContext& ctx, const u::ArgList& args) override {
         fp::WriterPort port(ctx.fabric, args.str(0, "out-stream-name"), ctx.comm.rank(),
                             ctx.comm.size(), ctx.stream_options);
-        const std::string key = core::header_attr_key("x", g_feed.shape.ndim() - 1);
         for (const std::vector<double>& data : g_feed.steps) {
             port.declare(fp::VarDecl{"x", fp::DataKind::Float64, g_feed.shape, {}});
-            if (!g_feed.header.empty()) port.put_attr(key, g_feed.header);
+            for (std::size_t d = 0; d < g_feed.headers.size(); ++d) {
+                if (!g_feed.headers[d].empty()) {
+                    port.put_attr(core::header_attr_key("x", d), g_feed.headers[d]);
+                }
+            }
             port.put<double>("x", u::Box::whole(g_feed.shape), data);
             port.end_step();
         }
@@ -128,6 +132,31 @@ std::vector<std::vector<double>> run_alone(const std::string& component, int npr
     return run_stages({{component, std::move(args)}}, nprocs, out_array);
 }
 
+/// Row names "<prefix>0", "<prefix>1", ... for a dimension of extent `n`.
+std::vector<std::string> row_names(const std::string& prefix, std::uint64_t n) {
+    std::vector<std::string> names;
+    for (std::uint64_t i = 0; i < n; ++i) names.push_back(prefix + std::to_string(i));
+    return names;
+}
+
+/// Plain-loop select: rows `rows` (in that order) along `dim` of `in`.
+std::vector<double> select_ref(const std::vector<double>& in, const u::NdShape& shape,
+                               std::size_t dim, const std::vector<std::uint64_t>& rows) {
+    std::uint64_t outer = 1;
+    std::uint64_t inner = 1;
+    for (std::size_t d = 0; d < dim; ++d) outer *= shape[d];
+    for (std::size_t d = dim + 1; d < shape.ndim(); ++d) inner *= shape[d];
+    std::vector<double> out;
+    for (std::uint64_t o = 0; o < outer; ++o) {
+        for (const std::uint64_t r : rows) {
+            for (std::uint64_t i = 0; i < inner; ++i) {
+                out.push_back(in[(o * shape[dim] + r) * inner + i]);
+            }
+        }
+    }
+    return out;
+}
+
 /// Plain-loop downsample: every `stride`-th index along `dim` of `in`.
 std::vector<double> downsample_ref(const std::vector<double>& in, const u::NdShape& shape,
                                    std::size_t dim, std::uint64_t stride) {
@@ -152,20 +181,70 @@ std::string tmp(const std::string& name) { return ::testing::TempDir() + "/sb_re
 
 // ---- references ------------------------------------------------------------
 
+// 2-D along the last dimension, 3-D along each dimension and rank-1, with
+// unordered and repeated rows, and in-order runs of rows (one row, as the
+// GTCP select takes).  At one rank a multi-dimensional select reads its
+// partition as a zero-copy view of the source's single block; at 2 and 3
+// ranks it copies the span of selected rows.  The rank-1 case selects two
+// rows, so at 3 ranks one rank keeps none.
 TEST(StandaloneReference, Select) {
-    seed_feed(u::NdShape{7, 5}, {"a", "b", "c", "d", "e"});
-    const std::vector<std::uint64_t> rows = {3, 0, 3};  // d a d
-    for (const int np : {1, 2, 3}) {
-        SCOPED_TRACE("nprocs " + std::to_string(np));
-        const auto got = run_alone("select", np,
-                                   {"in.fp", "x", "1", "out.fp", "s", "d", "a", "d"}, "s");
-        ASSERT_EQ(got.size(), kSteps);
-        for (std::uint64_t t = 0; t < kSteps; ++t) {
-            std::vector<double> want;
-            for (std::uint64_t r = 0; r < 7; ++r) {
-                for (const std::uint64_t c : rows) want.push_back(g_feed.steps[t][r * 5 + c]);
+    struct Case {
+        u::NdShape shape;
+        std::size_t dim;
+        std::vector<std::uint64_t> rows;
+    };
+    const std::vector<Case> cases = {
+        {u::NdShape{7, 5}, 1, {3, 0, 3}},       {u::NdShape{4, 6, 3}, 0, {2, 0, 2, 3}},
+        {u::NdShape{4, 6, 3}, 1, {5, 1, 1, 4}}, {u::NdShape{4, 6, 3}, 2, {2, 0, 2}},
+        {u::NdShape{4, 6, 3}, 1, {2, 3, 4}},    {u::NdShape{4, 6, 3}, 2, {1}},
+        {u::NdShape{5}, 0, {3, 1}},
+    };
+    for (const Case& c : cases) {
+        std::vector<std::vector<std::string>> headers;
+        for (std::size_t d = 0; d < c.shape.ndim(); ++d) {
+            headers.push_back(row_names("d" + std::to_string(d) + "r", c.shape[d]));
+        }
+        seed_feed(c.shape, headers);
+        std::vector<std::string> args = {"in.fp", "x", std::to_string(c.dim), "out.fp", "s"};
+        for (const std::uint64_t r : c.rows) args.push_back(headers[c.dim][r]);
+        for (const int np : {1, 2, 3}) {
+            SCOPED_TRACE(c.shape.to_string() + " dim " + std::to_string(c.dim) + " nprocs " +
+                         std::to_string(np));
+            const auto got = run_alone("select", np, args, "s");
+            ASSERT_EQ(got.size(), kSteps);
+            for (std::uint64_t t = 0; t < kSteps; ++t) {
+                EXPECT_EQ(got[t], select_ref(g_feed.steps[t], c.shape, c.dim, c.rows));
             }
-            EXPECT_EQ(got[t], want);
+        }
+    }
+}
+
+// A standalone select reads its input once per rank per step, not once per
+// selected row: a view of its partition when that is a writer block (at
+// one rank), else a copy of the selected rows' span (at three).
+TEST(StandaloneReference, SelectReadsOneSlabPerRankPerStep) {
+    seed_feed(u::NdShape{40, 5}, {{}, {"a", "b", "c", "d", "e"}});
+    auto& reg = sb::obs::Registry::global();
+    const auto count = [&](const std::string& name, int rank) {
+        return reg.counter(name, {{"stream", "in.fp"}, {"rank", std::to_string(rank)}})
+            .value();
+    };
+    for (const int np : {1, 3}) {
+        SCOPED_TRACE("nprocs " + std::to_string(np));
+        std::vector<std::uint64_t> reads;
+        std::vector<std::uint64_t> views;
+        for (int r = 0; r < np; ++r) {
+            reads.push_back(count("flexpath.reads", r));
+            views.push_back(count("flexpath.zero_copy_reads", r));
+        }
+        const auto got =
+            run_alone("select", np, {"in.fp", "x", "1", "out.fp", "s", "d", "a", "c"}, "s");
+        ASSERT_EQ(got.size(), kSteps);
+        for (int r = 0; r < np; ++r) {
+            EXPECT_EQ(count("flexpath.reads", r) - reads[r], kSteps) << "rank " << r;
+        }
+        if (np == 1) {
+            EXPECT_EQ(count("flexpath.zero_copy_reads", 0) - views[0], kSteps);
         }
     }
 }
@@ -301,6 +380,29 @@ TEST(StandaloneReference, FusedMagnitudeDownsample) {
             want.push_back(std::sqrt(s));
         }
         EXPECT_EQ(got[t], want);
+    }
+}
+
+// Fused downsample -> select at 2 ranks: the select takes the upstream slab
+// mid-chain, with a leading run of rows, all rows in order, and an unordered
+// repeated list.
+TEST(StandaloneReference, FusedDownsampleSelect) {
+    const u::NdShape shape{9, 4};
+    seed_feed(shape, {{}, {"a", "b", "c", "d"}});
+    const std::vector<std::vector<std::uint64_t>> selections = {
+        {0, 1}, {0, 1, 2, 3}, {3, 0, 3}};
+    for (const auto& rows : selections) {
+        std::vector<std::string> args = {"mid.fp", "d", "1", "out.fp", "s"};
+        for (const std::uint64_t r : rows) args.push_back(g_feed.headers[1][r]);
+        SCOPED_TRACE(::testing::PrintToString(rows));
+        const auto got = run_stages(
+            {{"downsample", {"in.fp", "x", "0", "2", "mid.fp", "d"}}, {"select", args}}, 2,
+            "s");
+        ASSERT_EQ(got.size(), kSteps);
+        for (std::uint64_t t = 0; t < kSteps; ++t) {
+            EXPECT_EQ(got[t], select_ref(downsample_ref(g_feed.steps[t], shape, 0, 2),
+                                         u::NdShape{5, 4}, 1, rows));
+        }
     }
 }
 
