@@ -39,7 +39,7 @@ struct GtcpRunConfig {
     int dimred2_procs = 1;
     int histo_procs = 1;
     /// Transport knobs for every stream the workflow opens (buffering depth,
-    /// spooling) and the fusion mode — Auto follows SB_FUSE, so fused-vs-
+    /// durable log) and the fusion mode — Auto follows SB_FUSE, so fused-vs-
     /// unfused A/Bs pin On/Off explicitly.
     flexpath::StreamOptions stream_options{};
     core::FusionMode fusion = core::FusionMode::Auto;

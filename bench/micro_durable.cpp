@@ -6,7 +6,6 @@
 // reader, identical except for where the step's bytes go:
 //
 //   memory          bounded in-memory queue only (the volatile baseline)
-//   spool           volatile spool file per step (pre-durable disk path)
 //   durable_never   framed+checksummed log, fsync left to the page cache
 //   durable_commit  framed+checksummed log, fsync after every commit marker
 //
@@ -50,7 +49,7 @@ fs::path fresh_dir(const std::string& leg) {
 }
 
 /// Seconds for `c.steps` steady-state publishes with `opts` deciding the
-/// disk path (none / volatile spool / durable log + fsync policy).
+/// disk path (none, or the durable log with its fsync policy).
 double run_publish(const DurableCase& c, const fp::StreamOptions& opts) {
     fp::Fabric fabric;
     const u::NdShape shape{c.elems};
@@ -123,7 +122,7 @@ int main(int argc, char** argv) {
 
     sb::bench::print_header(
         "micro: durable step log append and recovery overhead",
-        "crash consistency cost vs the volatile spool and in-memory paths");
+        "crash consistency cost vs the in-memory path");
     sb::bench::JsonReport report("micro_durable");
 
     const double mb_per_step =
@@ -137,19 +136,15 @@ int main(int argc, char** argv) {
     };
     std::vector<Leg> legs;
     legs.push_back({"memory", fp::StreamOptions(4)});
-    legs.push_back(
-        {"spool", fp::StreamOptions(4, fresh_dir("spool").string())});
     {
         fp::StreamOptions o(4);
         o.durable.dir = fresh_dir("never").string();
-        o.durable.mode = d::Mode::On;
         o.durable.fsync = d::FsyncPolicy::Never;
         legs.push_back({"durable_never", o});
     }
     {
         fp::StreamOptions o(4);
         o.durable.dir = fresh_dir("commit").string();
-        o.durable.mode = d::Mode::On;
         o.durable.fsync = d::FsyncPolicy::Commit;
         legs.push_back({"durable_commit", o});
     }
@@ -197,7 +192,6 @@ int main(int argc, char** argv) {
 
     for (const Leg& leg : legs) {
         if (!leg.opts.durable.dir.empty()) fs::remove_all(leg.opts.durable.dir);
-        if (!leg.opts.spool_dir.empty()) fs::remove_all(leg.opts.spool_dir);
     }
     fs::remove_all(rec_dir);
     report.write();

@@ -7,9 +7,10 @@
 // pre-generated steps into a deep queue, so the analysis pipeline, not
 // production, dominates.
 //
-// The spooled variant additionally routes every buffered step through
-// packet files on disk; fusion's win grows because the three intermediate
-// streams never exist, so nothing is spooled or reloaded between stages.
+// The log-backed variant additionally parks every buffered step in a
+// durable log (fsync never); fusion's win grows because the three
+// intermediate streams never exist, so nothing is logged or reloaded
+// between stages.
 //
 // Usage: micro_fusion [--smoke]
 // Writes BENCH_micro_fusion.json (see bench_util.hpp JsonReport).
@@ -93,11 +94,17 @@ public:
 
 /// End-to-end seconds for the 4-component chain under one fusion mode.
 double run_chain(const FusionCase& fc, core::FusionMode mode,
-                 const std::string& spool_dir) {
+                 const std::string& log_dir) {
     fp::Fabric fabric;
     // Deep queue: the source publishes the whole run up front where
     // capacity allows, so consumers never wait on production.
-    fp::StreamOptions opts(8, spool_dir);
+    fp::StreamOptions opts(8);
+    if (!log_dir.empty()) {
+        // A fresh log per run: history on disk would make the run a cold
+        // restart and every logged stream a fusion barrier.
+        std::filesystem::remove_all(log_dir);
+        opts.durable.dir = log_dir;
+    }
 
     const std::string hist = "/tmp/sb_bench_micro_fusion_hist.txt";
     core::Workflow wf(fabric, opts);
@@ -114,10 +121,10 @@ double run_chain(const FusionCase& fc, core::FusionMode mode,
 }
 
 double best_of(int reps, const FusionCase& fc, core::FusionMode mode,
-               const std::string& spool_dir) {
-    double best = run_chain(fc, mode, spool_dir);
+               const std::string& log_dir) {
+    double best = run_chain(fc, mode, log_dir);
     for (int i = 1; i < reps; ++i) {
-        best = std::min(best, run_chain(fc, mode, spool_dir));
+        best = std::min(best, run_chain(fc, mode, log_dir));
     }
     return best;
 }
@@ -138,9 +145,7 @@ int main(int argc, char** argv) {
     sb::bench::JsonReport report("micro_fusion");
 
     namespace fs = std::filesystem;
-    const fs::path spool = fs::temp_directory_path() / "sb_bench_fusion_spool";
-    fs::remove_all(spool);
-    fs::create_directories(spool);
+    const fs::path log_dir = fs::temp_directory_path() / "sb_bench_fusion_log";
 
     const double melems = static_cast<double>(fc.steps) *
                           static_cast<double>(fc.atoms) / 1e6;
@@ -148,11 +153,11 @@ int main(int argc, char** argv) {
                 "each, %llu steps of [%llu x 3] doubles\n\n",
                 fc.procs, static_cast<unsigned long long>(fc.steps),
                 static_cast<unsigned long long>(fc.atoms));
-    for (const bool spooled : {false, true}) {
-        const std::string dir = spooled ? spool.string() : "";
+    for (const bool logged : {false, true}) {
+        const std::string dir = logged ? log_dir.string() : "";
         const double unfused = best_of(reps, fc, core::FusionMode::Off, dir);
         const double fused = best_of(reps, fc, core::FusionMode::On, dir);
-        const std::string base = spooled ? "spool" : "inmem";
+        const std::string base = logged ? "log" : "inmem";
         report.add(base + "_unfused", "elapsed_seconds", unfused);
         report.add(base + "_unfused", "melems_per_second", melems / unfused);
         report.add(base + "_fused", "elapsed_seconds", fused);
@@ -164,7 +169,7 @@ int main(int argc, char** argv) {
                     melems / fused, unfused / fused);
     }
 
-    fs::remove_all(spool);
+    fs::remove_all(log_dir);
     report.write();
     return 0;
 }

@@ -7,9 +7,10 @@
 // group pays the delay once per step (~steps x delay total).  With a window
 // of W, ranks may skew by up to W steps, so consecutive delays — which land
 // on *different* ranks — overlap, and the group approaches each rank's own
-// share (~steps x delay / ranks).  The spooled variant additionally moves
-// the spool reload off the stream mutex into the prefetcher, overlapping
-// file I/O + decode with reader compute.
+// share (~steps x delay / ranks).  The log-backed variant parks every step
+// in a durable log (fsync never) and additionally moves the log reload off
+// the stream mutex into the prefetcher, overlapping file I/O + decode with
+// reader compute.
 //
 // Usage: micro_pipeline [--smoke]
 // Writes BENCH_micro_pipeline.json (see bench_util.hpp JsonReport).
@@ -41,14 +42,20 @@ struct PipelineCase {
 };
 
 /// End-to-end reader-group seconds for one window depth.  The writer runs
-/// ahead into a deep queue (optionally spooled), so the readers' pipeline —
-/// not production — dominates.
+/// ahead into a deep queue (parked in a durable log under `log_dir` when it
+/// is non-empty), so the readers' pipeline — not production — dominates.
 double run_skewed(const PipelineCase& pc, std::size_t read_ahead,
-                  const std::string& spool_dir) {
+                  const std::string& log_dir) {
     fp::Fabric fabric;
     const u::NdShape shape{pc.n, pc.m};
-    fp::StreamOptions opts(8, spool_dir);
+    fp::StreamOptions opts(8);
     opts.read_ahead = read_ahead;
+    if (!log_dir.empty()) {
+        // A fresh log per run: history left by an earlier run would be
+        // recovered and replayed instead of written.
+        std::filesystem::remove_all(log_dir);
+        opts.durable.dir = log_dir;
+    }
 
     std::jthread writer([&] {
         fp::WriterPort port(fabric, "pipe", 0, 1, opts);
@@ -86,10 +93,10 @@ double run_skewed(const PipelineCase& pc, std::size_t read_ahead,
 }
 
 double best_of(int reps, const PipelineCase& pc, std::size_t read_ahead,
-               const std::string& spool_dir) {
-    double best = run_skewed(pc, read_ahead, spool_dir);
+               const std::string& log_dir) {
+    double best = run_skewed(pc, read_ahead, log_dir);
     for (int i = 1; i < reps; ++i) {
-        best = std::min(best, run_skewed(pc, read_ahead, spool_dir));
+        best = std::min(best, run_skewed(pc, read_ahead, log_dir));
     }
     return best;
 }
@@ -109,22 +116,20 @@ int main(int argc, char** argv) {
     sb::bench::JsonReport report("micro_pipeline");
 
     namespace fs = std::filesystem;
-    const fs::path spool = fs::temp_directory_path() / "sb_bench_pipeline_spool";
-    fs::remove_all(spool);
-    fs::create_directories(spool);
+    const fs::path log_dir = fs::temp_directory_path() / "sb_bench_pipeline_log";
 
     std::printf("skewed-rank reader group: %d ranks, %llu steps, %lld ms rotating delay\n\n",
                 pc.readers, static_cast<unsigned long long>(pc.steps),
                 static_cast<long long>(pc.slow.count()));
-    for (const bool spooled : {false, true}) {
+    for (const bool logged : {false, true}) {
         std::printf("%-24s %14s %14s %9s\n",
-                    spooled ? "spooled" : "in-memory", "elapsed ms", "steps/s",
+                    logged ? "durable log" : "in-memory", "elapsed ms", "steps/s",
                     "speedup");
         double lockstep = 0.0;
         for (const std::size_t ra : {1u, 2u, 4u}) {
-            const double t = best_of(reps, pc, ra, spooled ? spool.string() : "");
+            const double t = best_of(reps, pc, ra, logged ? log_dir.string() : "");
             if (ra == 1) lockstep = t;
-            const std::string config = std::string(spooled ? "spool" : "inmem") +
+            const std::string config = std::string(logged ? "log" : "inmem") +
                                        "_ra" + std::to_string(ra);
             report.add(config, "elapsed_seconds", t);
             report.add(config, "steps_per_second",
@@ -136,7 +141,7 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    fs::remove_all(spool);
+    fs::remove_all(log_dir);
     report.write();
     return 0;
 }

@@ -1,8 +1,8 @@
 // Micro-benchmark of the resilience machinery (docs/RESILIENCE.md):
 //
 //   1. Replay throughput vs retained depth — a reader detaches with D
-//      spool-retained steps outstanding, reattaches, and drains the replay.
-//      Measures the spool reload + redistribution cost a restarted
+//      log-retained steps outstanding, reattaches, and drains the replay.
+//      Measures the durable-log reload + redistribution cost a restarted
 //      component pays before it sees fresh data.
 //   2. Restart latency — the same two-component workflow run clean and with
 //      one injected mid-stream crash of the sink (restart policy
@@ -33,16 +33,19 @@ namespace u = sb::util;
 
 namespace {
 
-/// Publishes `depth` steps of `len` doubles, parks them on disk by
-/// detaching the reader, then times the reattached reader draining the
-/// replay (spool reload + copy per step).
+/// Publishes `depth` steps of `len` doubles into a durable log under
+/// `log_dir` (emptied first: earlier history would be recovered, not
+/// written), detaches the reader, then times the reattached reader draining
+/// the replay (log reload + copy per step).
 double replay_drain_seconds(std::uint64_t depth, std::uint64_t len,
-                            const std::string& spool_dir) {
+                            const std::string& log_dir) {
     fp::Fabric fabric;
-    // The queue must hold every step: payloads spill to the spool, but each
+    // The queue must hold every step: payloads park in the log, but each
     // assembled step still passes through the bounded queue, and no reader
     // is attached while the writer runs ahead.
-    fp::StreamOptions opts(static_cast<std::size_t>(depth) + 1, spool_dir);
+    std::filesystem::remove_all(log_dir);
+    fp::StreamOptions opts(static_cast<std::size_t>(depth) + 1);
+    opts.durable.dir = log_dir;
     opts.read_ahead = 2;
     opts.retain_steps = static_cast<std::size_t>(depth);
 
@@ -156,7 +159,7 @@ int main(int argc, char** argv) {
     fs::remove_all(scratch);
     fs::create_directories(scratch);
 
-    std::printf("replay drain after reader detach (%llu KiB/step, spooled)\n\n",
+    std::printf("replay drain after reader detach (%llu KiB/step, durable log)\n\n",
                 static_cast<unsigned long long>(len * sizeof(double) / 1024));
     std::printf("%-16s %14s %14s %12s\n", "retained depth", "elapsed ms",
                 "steps/s", "MB/s");
@@ -164,10 +167,10 @@ int main(int argc, char** argv) {
         smoke ? std::vector<std::uint64_t>{2, 4}
               : std::vector<std::uint64_t>{2, 4, 8, 16};
     for (const std::uint64_t depth : depths) {
-        double best = replay_drain_seconds(depth, len, scratch.string());
+        const std::string log_dir = (scratch / "log").string();
+        double best = replay_drain_seconds(depth, len, log_dir);
         for (int i = 1; i < reps; ++i) {
-            best = std::min(best,
-                            replay_drain_seconds(depth, len, scratch.string()));
+            best = std::min(best, replay_drain_seconds(depth, len, log_dir));
         }
         const double steps_s = static_cast<double>(depth) / best;
         const double mb_s =

@@ -1,5 +1,5 @@
 # Trigger: config-replay-impossible (warning) — restart-on-failure with no
-# retained steps, no spool, and a dropping data-loss policy: a restarted
+# retained steps, no durable log, and a dropping data-loss policy: a restarted
 # component has nothing to replay.
 # lint-config: restart-policy=on-failure retain-steps=0 on-data-loss=skip
 aprun -n 2 magnitude gmx.fp coords radii.fp radii &

@@ -36,7 +36,7 @@ void print_usage() {
         stderr,
         "usage: smartblock_lint [--json] [--strict] [--dot] [--allow=<rule-id>] "
         "[--fuse=on|off|auto] [--read-ahead <depth>] [--queue-capacity <n>] "
-        "[--retain-steps <n>] [--spool-dir <dir>] "
+        "[--retain-steps <n>] "
         "[--on-data-loss fail|skip|zero-fill] "
         "[--restart-policy never|on_failure[:max]] [--liveness-ms <ms>] "
         "[--fault <spec>] <workflow-script>\n"
@@ -102,10 +102,6 @@ int main(int argc, char** argv) {
                        argi + 1 < argc) {
                 opts.stream.retain_steps =
                     static_cast<std::size_t>(std::stoul(argv[argi + 1]));
-                argi += 2;
-            } else if (std::strcmp(argv[argi], "--spool-dir") == 0 &&
-                       argi + 1 < argc) {
-                opts.stream.spool_dir = argv[argi + 1];
                 argi += 2;
             } else if (std::strcmp(argv[argi], "--on-data-loss") == 0 &&
                        argi + 1 < argc) {

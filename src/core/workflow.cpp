@@ -78,7 +78,7 @@ FusionPlan Workflow::fusion_plan() const {
     // cursor instead).  Fresh runs have no segments yet, so fusion — which
     // never materializes the interior stream — is unaffected.
     std::set<std::string> barriers;
-    if (durable::resolve_enabled(options_.durable)) {
+    if (!options_.durable.dir.empty()) {
         for (const FusionCandidate& c : candidates) {
             for (const std::string& s : c.ports.outputs) {
                 if (durable::history_exists(options_.durable.dir, s)) {
@@ -536,7 +536,7 @@ void Workflow::run() {
     // already-logged steps; a middle unit whose outputs already assembled
     // `resume` steps fast-forwards its inputs past the steps that fed them.
     bool cold_resume = false;
-    if (durable::resolve_enabled(options_.durable)) {
+    if (!options_.durable.dir.empty()) {
         for (const UnitSpec& unit : units) {
             std::set<std::string> in_set;
             std::set<std::string> out_set;

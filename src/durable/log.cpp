@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -63,6 +61,28 @@ std::uint64_t get_u64(std::span<const std::byte> buf, std::size_t at) {
         v |= std::uint64_t(std::to_integer<std::uint8_t>(buf[at + i])) << (8 * i);
     }
     return v;
+}
+
+/// Whether the frame header at `at` (with `meta_len` metadata bytes, all
+/// inside `buf`) matches its crc_head.
+bool head_crc_matches(std::span<const std::byte> buf, std::size_t at,
+                      std::uint64_t meta_len) {
+    std::uint32_t c = ffs::crc32c_init();
+    c = ffs::crc32c_update(c, buf.subspan(at + 4, 29));
+    c = ffs::crc32c_update(c, buf.subspan(at + kHeadBytes, meta_len));
+    return ffs::crc32c_final(c) == get_u32(buf, at + 33);
+}
+
+/// Whether a frame whose header checksum verifies starts anywhere in
+/// buf[from, end): proof that the bytes before it are corrupt, not torn.
+bool verified_frame_from(std::span<const std::byte> buf, std::size_t from) {
+    for (std::size_t at = from; at + kHeadBytes <= buf.size(); ++at) {
+        if (get_u32(buf, at) != kMagic) continue;
+        const std::uint64_t meta_len = get_u32(buf, at + 21);
+        if (kHeadBytes + meta_len > buf.size() - at) continue;
+        if (head_crc_matches(buf, at, meta_len)) return true;
+    }
+    return false;
 }
 
 std::string safe_name(const std::string& stream) {
@@ -123,6 +143,9 @@ struct ScanResult {
     std::map<std::uint64_t, FrameInfo> steps;
     std::vector<SegInfo> segments;
     std::uint64_t acked = 0;
+    /// 1 + the highest step any frame accounts for: step frames, the Ack
+    /// frontier, and the step count an Eos frame records.
+    std::uint64_t next_step = 0;
     bool complete = false;
     std::uint64_t max_layout_gen = 0;
     std::uint64_t torn_bytes = 0;
@@ -216,20 +239,19 @@ ScanResult scan_stream(const std::string& dir, const std::string& safe,
             const std::uint64_t layout_gen = get_u64(buf, off + 13);
             const std::uint64_t meta_len = get_u32(buf, off + 21);
             const std::uint64_t payload_len = get_u64(buf, off + 25);
-            const std::uint32_t crc_head = get_u32(buf, off + 33);
             if (kHeadBytes + meta_len > rem) {
-                // Header claims more metadata than the file holds: either a
-                // torn append or garbage lengths — indistinguishable until
-                // the header CRC could be checked, which it can't be.
+                // Header claims more metadata than the file holds, so its
+                // CRC cannot be checked: a torn append, unless a verifiable
+                // frame follows — then the length itself is corrupt, and
+                // truncating would destroy committed frames.
+                if (verified_frame_from(buf, off + 4)) {
+                    if (!resync(off + 4)) break;
+                    continue;
+                }
                 tail(off);
                 break;
             }
-            std::uint32_t c = ffs::crc32c_init();
-            c = ffs::crc32c_update(
-                c, std::span<const std::byte>(buf).subspan(off + 4, 29));
-            c = ffs::crc32c_update(c, std::span<const std::byte>(buf).subspan(
-                                          off + kHeadBytes, meta_len));
-            if (ffs::crc32c_final(c) != crc_head) {
+            if (!head_crc_matches(buf, off, meta_len)) {
                 if (!resync(off + 4)) break;
                 continue;
             }
@@ -270,13 +292,19 @@ ScanResult scan_stream(const std::string& dir, const std::string& safe,
                         (payload_ok ? " (missing commit)" : " (payload CRC)"));
                 }
                 out.steps[step] = std::move(info);
+                out.next_step = std::max(out.next_step, step + 1);
                 out.max_layout_gen = std::max(out.max_layout_gen, layout_gen);
                 seg.max_step = std::max(seg.max_step, step);
                 seg.has_steps = true;
             } else if (kind == kKindAck) {
                 out.acked = std::max(out.acked, step);
+                out.next_step = std::max(out.next_step, step);
             } else if (kind == kKindEos) {
+                // The Eos frame records how many steps the writer group
+                // published, so a lost final step frame is a gap, not a
+                // silently shorter stream.
                 out.complete = true;
+                out.next_step = std::max(out.next_step, step);
             } else {
                 out.notes.push_back("segment " + std::to_string(id) +
                                     ": unknown frame kind " +
@@ -291,32 +319,9 @@ ScanResult scan_stream(const std::string& dir, const std::string& safe,
     return out;
 }
 
-std::atomic<int> g_durable_override{-1};  // -1 env, 0 forced off, 1 forced on
-
 }  // namespace
 
-bool durable_enabled_from_env() {
-    const int forced = g_durable_override.load(std::memory_order_relaxed);
-    if (forced >= 0) return forced != 0;
-    const char* v = std::getenv("SB_DURABLE");
-    if (!v) return true;
-    const std::string s(v);
-    return !(s == "off" || s == "0" || s == "false");
-}
-
-void set_durable_enabled(bool on) {
-    g_durable_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool resolve_enabled(const Options& o) {
-    if (o.dir.empty()) return false;
-    switch (o.mode) {
-        case Mode::On: return true;
-        case Mode::Off: return false;
-        case Mode::Auto: break;
-    }
-    return durable_enabled_from_env();
-}
+bool durable_enabled_from_env() { return true; }
 
 bool parse_fsync_policy(const std::string& text, Options& into) {
     if (text == "never") {
@@ -402,14 +407,13 @@ Log::Log(std::string stream, Options opts)
     report_.log_bytes = scan.log_bytes;
     report_.segments = scan.segments.size();
     report_.notes = std::move(scan.notes);
-    report_.next_step = scan.acked;
+    report_.next_step = scan.next_step;
     for (const auto& [step, info] : scan.steps) {
         if (info.bad) {
             ++report_.steps_quarantined;
         } else {
             ++report_.steps_recovered;
         }
-        report_.next_step = std::max(report_.next_step, step + 1);
     }
     // The window the stream re-exposes: everything not yet acknowledged —
     // or the whole surviving history for a late-joining replay reader.
@@ -656,7 +660,7 @@ void Log::append_eos() {
     head.reserve(kHeadBytes);
     put_u32(head, kMagic);
     head.push_back(std::byte{kKindEos});
-    put_u64(head, 0);
+    put_u64(head, report_.next_step);  // steps published before the close
     put_u64(head, 0);
     put_u32(head, 0);
     put_u64(head, 0);
@@ -719,12 +723,8 @@ LoadedStep Log::load_step(std::uint64_t step) {
         throw SpoolError("durable log frame size mismatch on reload", path,
                          frame.offset, step);
     }
-    std::uint32_t c = ffs::crc32c_init();
-    c = ffs::crc32c_update(c, std::span<const std::byte>(buf).subspan(4, 29));
-    c = ffs::crc32c_update(
-        c, std::span<const std::byte>(buf).subspan(kHeadBytes, meta_len));
     const std::size_t payload_at = kHeadBytes + meta_len;
-    if (ffs::crc32c_final(c) != get_u32(buf, 33) ||
+    if (!head_crc_matches(buf, 0, meta_len) ||
         ffs::crc32c(std::span<const std::byte>(buf).subspan(
             payload_at, payload_len)) != get_u32(buf, payload_at + payload_len)) {
         throw SpoolError("durable log frame failed CRC on reload", path,
@@ -809,14 +809,13 @@ std::vector<RecoveryReport> scan_dir(const std::string& dir) {
         r.log_bytes = scan.log_bytes;
         r.segments = scan.segments.size();
         r.notes = std::move(scan.notes);
-        r.next_step = scan.acked;
+        r.next_step = scan.next_step;
         for (const auto& [step, info] : scan.steps) {
             if (info.bad) {
                 ++r.steps_quarantined;
             } else {
                 ++r.steps_recovered;
             }
-            r.next_step = std::max(r.next_step, step + 1);
         }
         r.seconds = obs::steady_seconds() - t0;
         reports.push_back(std::move(r));

@@ -1,11 +1,11 @@
 // sb::durable — a crash-consistent, checksummed step log.
 //
-// The volatile spool (flexpath::StreamOptions::spool_dir) parks buffered
-// steps in one throwaway file each, with no integrity protection: if the
-// process hosting the stream dies, the buffered history is gone, and a torn
-// or bit-rotted file poisons the reader with a raw decode error.  This
-// module promotes the spool into an *addressable, replayable step log*
-// (ROADMAP item 5): every published step is appended as a framed record —
+// The one place a stream parks steps on disk.  A stream whose
+// flexpath::StreamOptions::durable.dir is set keeps its buffered steps in
+// an *addressable, replayable step log* instead of process memory, so deep
+// buffering stays memory-bounded, a relaunched process recovers the
+// buffered history, and a torn or bit-rotted frame surfaces as a typed
+// error.  Every published step is appended as a framed record —
 //
 //   +-------+------+------+------------+----------+-------------+----------+
 //   | magic | kind | step | layout_gen | meta_len | payload_len | crc_head |
@@ -17,11 +17,12 @@
 // (all integers little-endian; crc_head is CRC32C over kind..payload_len +
 // meta, crc_payload over the payload, so a frame whose payload rotted still
 // yields intact metadata for OnDataLoss::ZeroFill).  The payload is the
-// existing scatter-gather spool packet (ffs::encode_segments), spliced into
+// step's scatter-gather block packet (ffs::encode_segments), spliced into
 // the frame without an intermediate copy.  Kind=Ack frames record the
 // reader group's retirement frontier; kind=Eos marks a cleanly closed
-// writer group, so a late-joining reader of a finished stream terminates
-// after replay.
+// writer group and records how many steps it published, so a late-joining
+// reader of a finished stream terminates after replay and a lost final
+// step frame still counts as a gap.
 //
 // On open, a recovery scanner validates every frame: a torn tail (the
 // process died mid-append) is truncated back to the last committed frame; a
@@ -58,16 +59,9 @@ class Histogram;
 
 namespace sb::durable {
 
-/// Stream-level durability knob: Auto follows the SB_DURABLE environment
-/// gate (unset -> on; "off"/"0"/"false" -> off), On/Off pin it regardless
-/// of the environment (tests pin semantics this way, mirroring the
-/// SB_READ_AHEAD / SB_POOL A/B gates).  A log only opens when the mode
-/// resolves on *and* Options::dir is non-empty.
-enum class Mode { Auto, On, Off };
-
 /// When appended frames are flushed to stable storage.
 enum class FsyncPolicy {
-    Never,     // leave it to the page cache (volatile-spool durability)
+    Never,     // leave it to the page cache (survives a process crash only)
     Commit,    // fsync after every appended frame (strongest, slowest)
     Interval,  // fsync at most once per fsync_interval_ms
 };
@@ -75,11 +69,8 @@ enum class FsyncPolicy {
 struct Options {
     Options() = default;
 
-    /// Log directory; empty disables the durable log entirely.
+    /// Log directory; a stream opens a log exactly when this is non-empty.
     std::string dir;
-
-    /// See Mode.  Auto resolves the SB_DURABLE environment gate.
-    Mode mode = Mode::Auto;
 
     FsyncPolicy fsync = FsyncPolicy::Never;
     double fsync_interval_ms = 50.0;  // FsyncPolicy::Interval cadence
@@ -100,12 +91,10 @@ struct Options {
     bool replay_history = false;
 };
 
-/// Whether the SB_DURABLE environment gate is on (unset -> on).
+/// Always true: the durable log has no on/off gate (a stream opens one
+/// exactly when Options::dir is set).  Kept only because the benchmark's
+/// gate banner still prints it; it goes when that banner is updated.
 bool durable_enabled_from_env();
-/// Programmatic override of the environment gate (benches A/B this way).
-void set_durable_enabled(bool on);
-/// Whether `o` resolves to an open durable log (dir set + gate on).
-bool resolve_enabled(const Options& o);
 
 /// Parses "never" | "commit" | "interval:<ms>" into `into`; returns false
 /// on malformed input.
@@ -196,7 +185,7 @@ public:
     bool complete() const noexcept { return report_.complete; }
 
     // ---- writer side -----------------------------------------------------
-    /// Appends one step frame; `payload` is the scatter-gather spool packet
+    /// Appends one step frame; `payload` is the scatter-gather block packet
     /// (segments are spliced, never concatenated).  Applies the fsync
     /// policy.  Fault point "durable.append" fires before the write; the
     /// torn:<bytes> action makes the frame land short and rethrows as a

@@ -3,8 +3,8 @@
 // Long-running in situ pipelines fail component-by-component, not as a
 // whole; reproducing the paper's deployment scenario therefore needs a way
 // to *cause* those failures on demand.  This registry arms named injection
-// points threaded through the runtime — flexpath publish/acquire, spool
-// reload, ffs decode, component run/step bodies — and fires a configured
+// points threaded through the runtime — flexpath publish/acquire, durable
+// log reload, ffs decode, component run/step bodies — and fires a configured
 // action (throw, delay, or crash-the-rank) at the Nth hit or with
 // probability p.  Everything is deterministic under a fixed seed, so a
 // chaos test replays the exact same failure schedule every run.

@@ -1,9 +1,9 @@
 // CRC32C (Castagnoli) checksums for the durable step log.
 //
-// The spool promotion to a crash-consistent log (src/durable) frames every
-// record with two checksums: one over the frame header + metadata, one over
-// the bulk payload.  CRC32C is the polynomial used by iSCSI, ext4 and
-// Btrfs for exactly this job — strong enough to catch torn writes and
+// The crash-consistent step log (src/durable) frames every record with two
+// checksums: one over the frame header + metadata, one over the bulk
+// payload.  CRC32C is the polynomial used by iSCSI, ext4 and Btrfs for
+// exactly this job — strong enough to catch torn writes and
 // bit rot, cheap enough to run inline with the scatter-gather encode.
 //
 // The implementation is a slicing-by-8 table walk (no ISA extensions, so it

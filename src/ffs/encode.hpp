@@ -33,7 +33,7 @@ Bytes encode(const Record& rec);
 
 /// encode() into a caller-provided buffer: `out` is cleared and refilled,
 /// reusing its capacity.  The packet-recycling form of encode for hot loops
-/// (spool, future TCP backend).
+/// (future TCP backend).
 void encode_into(const Record& rec, Bytes& out);
 
 /// Scatter-gather encoding: a small header buffer plus an iovec-style

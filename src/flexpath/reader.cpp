@@ -1,6 +1,8 @@
 #include "flexpath/reader.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 #include "check/lifetime.hpp"
 #include "obs/metrics.hpp"
@@ -86,7 +88,6 @@ ReaderPort::CachedPlan ReaderPort::compile_plan(const std::vector<Block>* blocks
             plan.blocks.push_back(
                 {i, util::compile_copy_plan(b.box, box, *region, elem)});
             covered += region->volume();
-            if (b.box == box) plan.exact_block = static_cast<std::ptrdiff_t>(i);
         }
     }
     if (covered != box.volume()) {
@@ -195,11 +196,16 @@ ReaderPort::try_read_view_bytes(const std::string& var, const util::Box& box) co
     const auto bit = current_->blocks.find(var);
     if (bit == current_->blocks.end()) return std::nullopt;
 
-    // Resolving through the plan cache means a later fallback read_bytes of
-    // the same box replays the already compiled plan.
-    const CachedPlan& plan = plan_for(var, decl, box, elem);
-    if (plan.exact_block < 0) return std::nullopt;
-    const Block* exact = &bit->second[static_cast<std::size_t>(plan.exact_block)];
+    // Exact-block probe: the stream sorts each var's blocks by (offset,
+    // count), so one binary search answers "is this box one writer block?"
+    // without compiling (or caching) a copy plan the caller may never run.
+    const std::vector<Block>& blocks = bit->second;
+    const auto at = std::lower_bound(
+        blocks.begin(), blocks.end(), box, [](const Block& b, const util::Box& key) {
+            return std::tie(b.box.offset, b.box.count) < std::tie(key.offset, key.count);
+        });
+    if (at == blocks.end() || !(at->box == box)) return std::nullopt;
+    const Block* exact = &*at;
     zero_copy_reads_->inc();
     bytes_read_->add(box.volume() * elem);
     reads_->inc();

@@ -17,7 +17,8 @@
 // generation (StepData::layout_gen) is unchanged.  The cache holds at most
 // kMaxPlans plans (see plan_for).  When the requested box
 // coincides exactly with a single writer block, try_read_view returns a
-// zero-copy span pinned by the step's shared payload instead.
+// zero-copy span pinned by the step's shared payload instead; that probe
+// is a binary search of the step's sorted block list and compiles no plan.
 #pragma once
 
 #include <algorithm>
@@ -129,8 +130,6 @@ private:
             util::CopyPlan runs;
         };
         std::vector<BlockRuns> blocks;
-        /// Index of the single block covering the box exactly, or -1.
-        std::ptrdiff_t exact_block = -1;
     };
     /// Owning cache key (stored in the map)…
     struct PlanKey {

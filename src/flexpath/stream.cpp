@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <tuple>
 
@@ -117,7 +115,7 @@ StepMeta decode_step_meta(std::span<const std::byte> wire) {
     return m;
 }
 
-// ---- spool encoding ---------------------------------------------------------
+// ---- step block encoding (durable-log frame payload) -----------------------
 
 namespace {
 
@@ -167,19 +165,6 @@ std::map<std::string, std::vector<Block>> decode_step_blocks(
     return out;
 }
 
-namespace {
-
-std::string spool_file_path(const std::string& dir, const std::string& stream,
-                            std::uint64_t step) {
-    std::string safe = stream;
-    for (char& c : safe) {
-        if (c == '/' || c == '\\') c = '_';
-    }
-    return dir + "/" + safe + "." + std::to_string(step) + ".spool";
-}
-
-}  // namespace
-
 // ---- Stream ----------------------------------------------------------------
 
 Stream::Stream(std::string name)
@@ -192,16 +177,14 @@ Stream::Stream(std::string name)
     ins_.steps_skipped = &reg.counter("flexpath.steps_skipped", labels);
     ins_.replay_suppressed = &reg.counter("flexpath.replay_suppressed", labels);
     ins_.aborts = &reg.counter("flexpath.aborts", labels);
-    ins_.spool_bytes_written = &reg.counter("flexpath.spool_bytes_written", labels);
-    ins_.spool_bytes_read = &reg.counter("flexpath.spool_bytes_read", labels);
     ins_.queue_depth = &reg.gauge("flexpath.queue_depth", labels);
     ins_.blocked_push_seconds = &reg.gauge("flexpath.queue_blocked_push_seconds", labels);
+    ins_.blocked_pushes = &reg.gauge("flexpath.queue_blocked_pushes", labels);
     ins_.blocked_pop_seconds = &reg.gauge("flexpath.queue_blocked_pop_seconds", labels);
     ins_.read_ahead_depth = &reg.gauge("flexpath.read_ahead_depth", labels);
     ins_.backpressure_wait = &reg.histogram("flexpath.backpressure_wait_seconds", labels);
     ins_.acquire_wait = &reg.histogram("flexpath.acquire_wait_seconds", labels);
     ins_.prefetch_wait = &reg.histogram("flexpath.prefetch_wait_seconds", labels);
-    ins_.spool_write_seconds = &reg.histogram("flexpath.spool_write_seconds", labels);
     ins_.spool_read_seconds = &reg.histogram("flexpath.spool_read_seconds", labels);
 }
 
@@ -222,7 +205,7 @@ void Stream::open_durable(const StreamOptions& opts) {
 }
 
 void Stream::open_durable_locked(const StreamOptions& opts) {
-    if (log_ || !durable::resolve_enabled(opts.durable)) return;
+    if (log_ || opts.durable.dir.empty()) return;
     auto log = std::make_unique<durable::Log>(name_, opts.durable);
     // Recovered state is only installed into a pristine stream (nothing
     // assembled or fetched yet) — the cold-restart / late-join paths.  A
@@ -256,7 +239,7 @@ void Stream::open_durable_locked(const StreamOptions& opts) {
             if (opts.on_data_loss == OnDataLoss::Fail) {
                 // An unloaded entry whose reload throws the frame's
                 // SpoolError: the poisoned-prefetch machinery surfaces it
-                // from acquire(), exactly like a failed spool reload.
+                // from acquire(), exactly like any failed reload.
                 auto data = std::make_shared<StepData>();
                 data->step = step;
                 data->layout_gen = layout_gen;
@@ -287,6 +270,10 @@ void Stream::open_durable_locked(const StreamOptions& opts) {
             } else {
                 drop(rs.step, rs.layout_gen, &rs.meta);
             }
+            ++expect;
+        }
+        while (expect < next_step_) {  // lost after the last surviving frame
+            drop(expect, layout_gen_, nullptr);
             ++expect;
         }
         next_fetch_ = window_base_ + window_.size();
@@ -591,9 +578,8 @@ void Stream::submit(int rank, Contribution c) {
                                             assemble_t0, obs::steady_seconds(),
                                             rank);
         }
-        // Durable log (preferred) or volatile spool: park the step's data
-        // on disk so deep buffers stay memory-bounded; readers load it back
-        // on acquire.  Both take the same scatter-gather path: the record
+        // Durable log: park the step's data on disk so deep buffers stay
+        // memory-bounded; readers load it back on acquire.  The record
         // borrows the block payloads and encode_segments splices them into
         // the stream of header bytes, so the bulk data goes record -> disk
         // with no intermediate packet copy — byte-identical to the
@@ -605,27 +591,6 @@ void Stream::submit(int rank, Contribution c) {
                              completed->meta, segs);
             completed->blocks.clear();
             completed->in_log = true;
-        } else if (!opts_.spool_dir.empty()) {
-            const std::string path =
-                spool_file_path(opts_.spool_dir, name_, completed->step);
-            const double t0 = instr ? obs::steady_seconds() : 0.0;
-            const ffs::Record spool_rec = make_spool_record(completed->blocks);
-            const ffs::EncodedSegments segs = ffs::encode_segments(spool_rec);
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            if (!out) {
-                throw std::runtime_error("stream '" + name_ + "': cannot spool to '" +
-                                         path + "'");
-            }
-            for (const auto& seg : segs.segments) {
-                out.write(reinterpret_cast<const char*>(seg.data()),
-                          static_cast<std::streamsize>(seg.size()));
-            }
-            if (instr) {
-                ins_.spool_write_seconds->observe(obs::steady_seconds() - t0);
-                ins_.spool_bytes_written->add(segs.total);
-            }
-            completed->blocks.clear();
-            completed->spool_path = path;
         }
         // Pushed outside mu_ so other ranks can begin the next step while
         // this (last-arriving) rank blocks on a full queue — backpressure
@@ -663,6 +628,7 @@ void Stream::submit(int rank, Contribution c) {
             ins_.backpressure_wait->observe(waited);
             ins_.queue_depth->set(static_cast<double>(queue_->size()));
             ins_.blocked_push_seconds->set(queue_->blocked_push_seconds());
+            ins_.blocked_pushes->set(static_cast<double>(queue_->blocked_pushes()));
             auto& tl = obs::TraceLog::global();
             tl.counter("queue depth", name_, static_cast<double>(queue_->size()));
             if (waited >= kStallSliceSeconds) {
@@ -745,7 +711,7 @@ std::uint64_t Stream::attach_reader(int nranks) {
             }
         }
         demand_ = window_base_;
-        prefetch_cv_.notify_all();  // deferred spool reloads may now proceed
+        prefetch_cv_.notify_all();  // deferred log reloads may now proceed
     } else if (reader_size_ != nranks) {
         throw std::logic_error("stream '" + name_ +
                                "': reader ranks disagree on group size");
@@ -785,10 +751,6 @@ void Stream::skip_reader_to(std::uint64_t cursor) {
             if (front.loaded && front.data && !front.data->lossy &&
                 !front.data->blocks.empty()) {
                 --window_payloads_;
-            }
-            if (front.data && !front.data->spool_path.empty()) {
-                std::error_code ec;
-                std::filesystem::remove(front.data->spool_path, ec);
             }
             if (front.data) {
                 log = log_.get();
@@ -834,8 +796,8 @@ bool entry_has_payload(const Stream&, const std::shared_ptr<StepData>& data,
 }  // namespace
 
 void Stream::shed_retained_locked() {
-    // Spooled streams spill to disk instead of dropping; Fail never drops.
-    if (opts_.on_data_loss == OnDataLoss::Fail || !opts_.spool_dir.empty()) return;
+    // Log-backed streams park on disk instead of dropping; Fail never drops.
+    if (opts_.on_data_loss == OnDataLoss::Fail || log_) return;
     while (window_payloads_ >= read_ahead_ + opts_.retain_steps) {
         if (opts_.on_data_loss == OnDataLoss::Skip) {
             if (window_.empty()) break;
@@ -873,7 +835,7 @@ void Stream::prefetch_loop() {
     check::ThreadLabel label("prefetch:" + name_);
     std::unique_lock lock(mu_);
     for (;;) {
-        // Oldest spool-parked window entry a reader wants soon; reloads are
+        // Oldest log-parked window entry a reader wants soon; reloads are
         // deferred entirely while the reader group is detached.
         const auto reload_index = [&]() -> std::ptrdiff_t {
             if (reader_detached_) return -1;
@@ -899,12 +861,12 @@ void Stream::prefetch_loop() {
                 return window_.size() < read_ahead_ &&
                        next_fetch_ < demand_ + (read_ahead_ - 1);
             }
-            // Retention mode: keep draining the writer.  Spooled streams
+            // Retention mode: keep draining the writer.  Log-backed streams
             // park further steps on disk, so only in-memory payloads count
             // against the retention bound; past it the data-loss policy
             // decides whether to shed (Fail = stop fetching, apply
             // backpressure to the writer instead).
-            if (!opts_.spool_dir.empty()) return true;
+            if (log_) return true;
             if (window_payloads_ < read_ahead_ + opts_.retain_steps) return true;
             return opts_.on_data_loss != OnDataLoss::Fail;
         };
@@ -934,7 +896,7 @@ void Stream::prefetch_loop() {
         if (eos_ && !unloaded_any()) return;  // drained and fully loaded
         const bool instr = obs::enabled();
 
-        // Spool reload of a window entry whose data was deferred while the
+        // Log reload of a window entry whose data was deferred while the
         // reader group was detached (the I/O runs off mu_, like a fetch).
         const std::ptrdiff_t ri = reload_index();
         if (ri >= 0) {
@@ -946,7 +908,7 @@ void Stream::prefetch_loop() {
                 window_[static_cast<std::size_t>(ri)].cursor;
             lock.unlock();
             try {
-                load_spooled(*data, instr);
+                load_logged(*data, instr);
             } catch (...) {
                 lock.lock();
                 prefetch_error_ = std::current_exception();
@@ -968,14 +930,14 @@ void Stream::prefetch_loop() {
         }
         if (!can_fetch()) continue;  // woken for a reload that got skipped
 
-        // Spool reloads of freshly popped steps are deferred while detached:
+        // Log reloads of freshly popped steps are deferred while detached:
         // retained data stays parked on disk until a replacement group
         // reattaches and actually demands it.
         const bool defer_reload = reader_detached_;
         util::BoundedQueue<StepData>* queue = queue_.get();
         lock.unlock();
 
-        // Both the (blocking) queue pop and the spool reload run off mu_:
+        // Both the (blocking) queue pop and the log reload run off mu_:
         // reader ranks keep acquiring/releasing window steps while the next
         // step is fetched and decoded.
         const double pop_t0 = instr ? obs::steady_seconds() : 0.0;
@@ -999,12 +961,12 @@ void Stream::prefetch_loop() {
             }
         }
         bool loaded = true;
-        if (item && (item->in_log || !item->spool_path.empty())) {
+        if (item && item->in_log) {
             if (defer_reload) {
                 loaded = false;
             } else {
                 try {
-                    load_spooled(*item, instr);
+                    load_logged(*item, instr);
                 } catch (...) {
                     // A fetch failure poisons the stream: readers rethrow the
                     // original error from acquire(), writers unwind through
@@ -1024,7 +986,7 @@ void Stream::prefetch_loop() {
         if (!item) {
             eos_ = true;  // queue closed and drained: no step >= next_fetch_
             reader_cv_.notify_all();
-            // Not done yet: deferred spool reloads may still be pending for
+            // Not done yet: deferred log reloads may still be pending for
             // a reattached reader — loop until the window is fully loaded.
             continue;
         }
@@ -1041,43 +1003,20 @@ void Stream::prefetch_loop() {
     }
 }
 
-void Stream::load_spooled(StepData& item, bool instr) {
+void Stream::load_logged(StepData& item, bool instr) {
     const double sp_t0 = instr ? obs::steady_seconds() : 0.0;
     fault::hit("flexpath.spool_reload", name_);
-    if (item.in_log) {
-        // The step's blocks live in the durable log: load the frame back by
-        // step index (both checksums re-verified; throws SpoolError with
-        // file/offset/step context for a quarantined or corrupted frame).
-        // The frame stays in the log for crash recovery until collected.
-        durable::LoadedStep loaded = log_->load_step(item.step);
-        if (item.meta.empty()) item.meta = std::move(loaded.meta);
-        item.layout_gen = loaded.layout_gen;
-        item.blocks = decode_step_blocks(loaded.payload);
-        if (instr) {
-            const double sp_t1 = obs::steady_seconds();
-            ins_.spool_read_seconds->observe(sp_t1 - sp_t0);
-            if (sp_t1 - sp_t0 >= kStallSliceSeconds) {
-                obs::TraceLog::global().slice("spool reload", name_, "prefetch",
-                                              sp_t0, sp_t1);
-            }
-        }
-        return;
-    }
-    std::ifstream in(item.spool_path, std::ios::binary);
-    if (!in) {
-        throw SpoolError("stream '" + name_ + "': missing spool file",
-                         item.spool_path, 0, item.step);
-    }
-    const std::string packet((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-    item.blocks = decode_step_blocks(std::span<const std::byte>(
-        reinterpret_cast<const std::byte*>(packet.data()), packet.size()));
-    std::filesystem::remove(item.spool_path);
-    item.spool_path.clear();
+    // Load the frame back by step index (both checksums re-verified; throws
+    // SpoolError with file/offset/step context for a quarantined or
+    // corrupted frame).  The frame stays in the log for crash recovery
+    // until collected.
+    durable::LoadedStep loaded = log_->load_step(item.step);
+    if (item.meta.empty()) item.meta = std::move(loaded.meta);
+    item.layout_gen = loaded.layout_gen;
+    item.blocks = decode_step_blocks(loaded.payload);
     if (instr) {
         const double sp_t1 = obs::steady_seconds();
         ins_.spool_read_seconds->observe(sp_t1 - sp_t0);
-        ins_.spool_bytes_read->add(packet.size());
         if (sp_t1 - sp_t0 >= kStallSliceSeconds) {
             obs::TraceLog::global().slice("spool reload", name_, "prefetch",
                                           sp_t0, sp_t1);

@@ -22,7 +22,7 @@
 // bounded *in-flight step window* (StreamOptions::read_ahead, default 2)
 // with per-rank cursors, so a fast reader rank starts step N+1 while slow
 // peers still hold N, and a per-stream prefetch thread pops the queue and
-// reloads spooled blocks outside the stream mutex, overlapping fetch cost
+// reloads logged blocks outside the stream mutex, overlapping fetch cost
 // with downstream compute (docs/PERFORMANCE.md, "Reader-side step
 // pipelining").
 //
@@ -99,14 +99,12 @@ StepMeta decode_step_meta(std::span<const std::byte> wire);
 struct StepData {
     std::uint64_t step = 0;
     ffs::Bytes meta;  // FFS-encoded metadata packet (see encode_step_meta)
-    std::map<std::string, std::vector<Block>> blocks;  // var name -> blocks
-    /// When the stream spools (StreamOptions::spool_dir), buffered steps
-    /// park their blocks in this file instead of memory until acquired.
-    std::string spool_path;
+    /// var name -> blocks, each var's blocks sorted by (offset, count).
+    std::map<std::string, std::vector<Block>> blocks;
     /// True when the step's blocks live in the stream's durable log
-    /// (StreamOptions::durable) instead of memory or a spool file; readers
-    /// load them back by step index, and the frame stays in the log for
-    /// crash recovery until garbage-collected.
+    /// (StreamOptions::durable) instead of memory; readers load them back
+    /// by step index, and the frame stays in the log for crash recovery
+    /// until garbage-collected.
     bool in_log = false;
     /// Writer-layout generation: bumped by the stream whenever the block
     /// partitioning or any variable shape differs from the previous step.
@@ -142,7 +140,8 @@ private:
     std::shared_ptr<MetaCache> meta_cache_ = std::make_shared<MetaCache>();
 };
 
-/// Encodes/decodes a step's blocks for disk spooling (exposed for tests).
+/// Encodes/decodes a step's blocks: the payload of a durable-log frame
+/// (exposed for tests).
 ffs::Bytes encode_step_blocks(const std::map<std::string, std::vector<Block>>& blocks);
 std::map<std::string, std::vector<Block>> decode_step_blocks(
     std::span<const std::byte> wire);
@@ -167,20 +166,12 @@ struct StreamOptions {
     StreamOptions() = default;
     // Constructors (rather than aggregate init) so StreamOptions{N} call
     // sites stay clean under -Wmissing-field-initializers / SB_WERROR.
-    explicit StreamOptions(std::size_t capacity, std::string spool = {})
-        : queue_capacity(capacity), spool_dir(std::move(spool)) {}
+    explicit StreamOptions(std::size_t capacity) : queue_capacity(capacity) {}
 
     /// Max completed steps buffered writer-side.  0 = synchronous rendezvous
     /// (writer's end_step blocks until the reader group takes the step) —
     /// used by the async-buffering ablation.
     std::size_t queue_capacity = 2;
-
-    /// When non-empty, buffered steps spool their data blocks to
-    /// self-describing packet files in this directory instead of holding
-    /// them in memory, and load them back on acquire — the paper §VI idea
-    /// of storage participating in a workflow, applied to the transport's
-    /// buffer: deep buffering with bounded memory.
-    std::string spool_dir;
 
     /// Reader-side in-flight step window (read-ahead depth): how many steps
     /// the reader group may hold concurrently, and how far ahead of reader
@@ -195,9 +186,9 @@ struct StreamOptions {
     /// While the reader group is detached (component restart), the stream
     /// keeps pulling completed steps into the retained window so the writer
     /// is not stalled; at most read_ahead + retain_steps of them are held
-    /// *in memory*.  Spooled streams (spool_dir set) keep further steps
-    /// parked on disk instead — replay material is then bounded by disk,
-    /// not by this knob.  Past the bound, `on_data_loss` decides.
+    /// *in memory*.  Log-backed streams (durable.dir set) keep further
+    /// steps parked on disk instead — replay material is then bounded by
+    /// disk, not by this knob.  Past the bound, `on_data_loss` decides.
     std::size_t retain_steps = 8;
 
     /// Degradation policy when retention is exhausted (see OnDataLoss).
@@ -208,9 +199,11 @@ struct StreamOptions {
     OnDataLoss on_data_loss = OnDataLoss::Fail;
 
     /// Crash-consistent step log (docs/RESILIENCE.md, "Durable step log").
-    /// When enabled (durable.dir set and the mode resolves on), published
-    /// steps are appended to a checksummed, framed log instead of spool
-    /// files, and a relaunched process recovers the stream's state from it.
+    /// When durable.dir is set, published steps park their data in a
+    /// checksummed, framed log instead of memory — the paper §VI idea of
+    /// storage participating in a workflow, applied to the transport's
+    /// buffer: deep buffering with bounded memory — and a relaunched
+    /// process recovers the stream's state from it.
     durable::Options durable;
 
     /// Writer/reader liveness timeout in milliseconds: a submit blocked on
@@ -265,10 +258,10 @@ public:
     /// history, the reader window, step counters, and layout generation are
     /// rebuilt from the log: a relaunched process resumes where the durable
     /// frontier left off, and with durable.replay_history a late-joining
-    /// reader replays from step 0.  Idempotent; a no-op when the options
-    /// don't resolve to an enabled log.  Call before attaching either side
-    /// (Workflow does this for every external stream; attach_writer also
-    /// calls it with its own options).
+    /// reader replays from step 0.  Idempotent; a no-op when durable.dir is
+    /// empty.  Call before attaching either side (Workflow does this for
+    /// every external stream; attach_writer also calls it with its own
+    /// options).
     void open_durable(const StreamOptions& opts);
 
     /// The stream's open durable log (nullptr when disabled) — recovery
@@ -445,7 +438,7 @@ private:
         std::uint64_t cursor = 0;  // reader-sequence index of this step
         std::shared_ptr<StepData> data;
         int released = 0;  // reader ranks that released this step
-        /// False while the step's blocks are still parked in the spool
+        /// False while the step's blocks are still parked in the log
         /// (retention mode defers the reload until a reader reattaches).
         bool loaded = true;
     };
@@ -465,7 +458,7 @@ private:
     std::exception_ptr prefetch_error_;  // fatal prefetch failure, rethrown in acquire
 
     // Background prefetcher: pops the next step from the bounded queue and
-    // reloads spooled blocks *off* mu_, then publishes the step into the
+    // reloads logged blocks *off* mu_, then publishes the step into the
     // window.  Started once both sides are attached; exits at EOS, abort,
     // or stream destruction.  Demand-driven: it never fetches past
     // (highest demanded cursor) + read_ahead - 1, so read_ahead=1
@@ -481,9 +474,9 @@ private:
     /// Drops retained data (detached mode, retention bound hit) per the
     /// data-loss policy until an in-memory payload slot is free.
     void shed_retained_locked();
-    /// Loads `item`'s spooled blocks back into memory and removes the spool
-    /// file.  Runs off mu_ (prefetcher only); throws on I/O/decode failure.
-    void load_spooled(StepData& item, bool instr);
+    /// Loads `item`'s blocks back from the durable log.  Runs off mu_
+    /// (prefetcher only); throws SpoolError on a missing or corrupt frame.
+    void load_logged(StepData& item, bool instr);
 
     // Observability instruments, resolved once per stream (label stream=name)
     // from the global registry in the constructor; the registry guarantees
@@ -496,16 +489,14 @@ private:
         obs::Counter* steps_skipped = nullptr;
         obs::Counter* replay_suppressed = nullptr;
         obs::Counter* aborts = nullptr;
-        obs::Counter* spool_bytes_written = nullptr;
-        obs::Counter* spool_bytes_read = nullptr;
         obs::Gauge* queue_depth = nullptr;
         obs::Gauge* blocked_push_seconds = nullptr;
+        obs::Gauge* blocked_pushes = nullptr;
         obs::Gauge* blocked_pop_seconds = nullptr;
         obs::Gauge* read_ahead_depth = nullptr;
         obs::Histogram* backpressure_wait = nullptr;
         obs::Histogram* acquire_wait = nullptr;
         obs::Histogram* prefetch_wait = nullptr;
-        obs::Histogram* spool_write_seconds = nullptr;
         obs::Histogram* spool_read_seconds = nullptr;
     };
     Instruments ins_;

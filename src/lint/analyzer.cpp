@@ -887,7 +887,7 @@ void fusion_notes(const std::vector<Node>& nodes, const Options& opts,
     // disk stays materialized so its history replays, and the fusion notes
     // must not promise a chain the runner would refuse to fuse.
     std::set<std::string> barriers;
-    if (durable::resolve_enabled(opts.stream.durable)) {
+    if (!opts.stream.durable.dir.empty()) {
         for (const core::FusionCandidate& c : candidates) {
             for (const std::string& s : c.ports.outputs) {
                 if (durable::history_exists(opts.stream.durable.dir, s)) {
@@ -922,29 +922,28 @@ void config_rules(const std::vector<Node>& nodes, const Options& opts,
     const flexpath::StreamOptions& s = opts.stream;
 
     if (opts.restart.mode == core::RestartPolicy::Mode::OnFailure &&
-        s.retain_steps == 0 && s.spool_dir.empty() &&
+        s.retain_steps == 0 && s.durable.dir.empty() &&
         s.on_data_loss != flexpath::OnDataLoss::Fail) {
         out.push_back(Diagnostic{
             "config-replay-impossible", Severity::Warning, 0, "",
             std::string("RestartPolicy::on_failure with retain_steps=0, no "
-                        "spool_dir, and on_data_loss=") +
+                        "durable.dir, and on_data_loss=") +
                 (s.on_data_loss == flexpath::OnDataLoss::Skip ? "skip"
                                                               : "zero-fill") +
                 ": a restarted component has nothing to replay — dropped "
                 "steps are silently lost (or zero-filled) across every "
                 "restart",
-            "set retain_steps > 0, configure a spool_dir, or keep "
+            "set retain_steps > 0, configure a durable.dir, or keep "
             "on_data_loss=fail so the writer blocks instead of dropping"});
     }
 
     if (opts.restart.mode == core::RestartPolicy::Mode::OnFailure &&
-        (s.durable.dir.empty() || s.durable.mode == durable::Mode::Off) &&
-        s.spool_dir.empty() && s.on_data_loss == flexpath::OnDataLoss::Fail) {
+        s.durable.dir.empty() && s.on_data_loss == flexpath::OnDataLoss::Fail) {
         out.push_back(Diagnostic{
             "config-durable-volatile", Severity::Warning, 0, "",
-            "RestartPolicy::on_failure with no durable log (and no spool "
-            "dir): retained steps live only in process memory, so a restart "
-            "survives a component failure but a *process* crash loses every "
+            "RestartPolicy::on_failure with no durable log: retained steps "
+            "live only in process memory, so a restart survives a "
+            "component failure but a *process* crash loses every "
             "buffered step — and on_data_loss=fail means the relaunched "
             "workflow starts over instead of resuming",
             "configure durable.dir (smartblock_run --durable=<dir>) so "
@@ -1043,20 +1042,8 @@ std::string apply_directive(const std::string& tok, Options& opts) {
                 (val == "off" || val == "0" || val == "false") ? 1 : std::stoull(val);
         } else if (key == "queue-capacity") {
             opts.stream.queue_capacity = std::stoull(val);
-        } else if (key == "spool-dir") {
-            opts.stream.spool_dir = val;
         } else if (key == "durable-dir") {
             opts.stream.durable.dir = val;
-        } else if (key == "durable") {
-            if (val == "auto") {
-                opts.stream.durable.mode = durable::Mode::Auto;
-            } else if (val == "on") {
-                opts.stream.durable.mode = durable::Mode::On;
-            } else if (val == "off") {
-                opts.stream.durable.mode = durable::Mode::Off;
-            } else {
-                return "durable: expected auto|on|off, got '" + val + "'";
-            }
         } else if (key == "fsync") {
             if (!durable::parse_fsync_policy(val, opts.stream.durable)) {
                 return "fsync: expected never|commit|interval:<ms>, got '" + val +

@@ -106,8 +106,9 @@ Result lint_entries(const std::vector<core::LaunchEntry>& entries,
 /// Parses `script` (core/launch_script.hpp grammar) and lints it.  Script
 /// comments of the form `# lint-config: key=value ...` override `opts`
 /// before analysis so committed trigger scripts are self-contained; keys:
-/// retain-steps, read-ahead, queue-capacity, spool-dir, on-data-loss
-/// (fail|skip|zero-fill), liveness-ms, restart-policy (never|on-failure),
+/// retain-steps, read-ahead, queue-capacity, durable-dir, fsync,
+/// on-data-loss (fail|skip|zero-fill), liveness-ms, restart-policy
+/// (never|on-failure),
 /// fuse (auto|on|off), fault (one SB_FAULT entry).  A malformed script or
 /// directive becomes a graph-bad-arguments error, not an exception.
 Result lint_script(const std::string& text, const Options& opts = {});

@@ -1,18 +1,24 @@
 // Tests for sb::durable — the crash-consistent step log: CRC32C vectors,
 // frame round-trips, torn-tail truncation, mid-log corruption quarantine
-// through the stream's OnDataLoss policy, cold-restart bit-identity at the
-// Workflow level, late-join replay, the SB_DURABLE off gate, and the
-// durable.* fault points (torn:<bytes> included) with exact counter deltas.
+// through the stream's OnDataLoss policy, an enumerated recovery sweep
+// (every truncation offset and every single-bit flip of a two-segment
+// log), cold-restart bit-identity at the Workflow level, late-join replay,
+// and the durable.* fault points (torn:<bytes> included) with exact
+// counter deltas.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,7 +60,7 @@ std::span<const std::byte> bytes_of(const std::string& s) {
 }
 
 /// A payload the log treats as opaque — segments spliced like the real
-/// scatter-gather spool packet, here just one span over the header.
+/// scatter-gather block packet, here just one span over the header.
 d::Options log_opts(const fs::path& dir) {
     d::Options o;
     o.dir = dir.string();
@@ -174,21 +180,19 @@ TEST(DurableOptions, TornFaultSpecParse) {
                  std::invalid_argument);
 }
 
-TEST(DurableOptions, ResolveEnabledGate) {
-    const bool env_on = d::durable_enabled_from_env();
-    d::Options o;
-    EXPECT_FALSE(d::resolve_enabled(o));  // no dir -> never on
-    o.dir = "/tmp/somewhere";
-    o.mode = d::Mode::On;
-    EXPECT_TRUE(d::resolve_enabled(o));
-    o.mode = d::Mode::Off;
-    EXPECT_FALSE(d::resolve_enabled(o));
-    o.mode = d::Mode::Auto;
-    d::set_durable_enabled(false);
-    EXPECT_FALSE(d::resolve_enabled(o));
-    d::set_durable_enabled(true);
-    EXPECT_TRUE(d::resolve_enabled(o));
-    d::set_durable_enabled(env_on);  // restore the environment's resolution
+TEST(DurableOptions, LogOpensExactlyWhenDirIsSet) {
+    fp::Fabric fabric;
+    const auto memory = fabric.get("mem");
+    memory->open_durable(fp::StreamOptions(8));  // no dir: no log, no files
+    EXPECT_EQ(memory->durable_log(), nullptr);
+
+    const fs::path dir = scratch("sb_durable_opens");
+    fp::StreamOptions opts(8);
+    opts.durable.dir = dir.string();
+    const auto logged = fabric.get("logged");
+    logged->open_durable(opts);
+    ASSERT_NE(logged->durable_log(), nullptr);
+    EXPECT_EQ(sblog_files(dir).size(), 1u);  // the active segment
 }
 
 // ---- log round-trip and recovery ------------------------------------------
@@ -287,7 +291,6 @@ fs::path corrupted_stream_dir(const std::string& tag) {
     const fs::path dir = scratch("sb_durable_" + tag);
     fp::StreamOptions opts(8);
     opts.durable.dir = dir.string();
-    opts.durable.mode = d::Mode::On;
     {
         fp::Fabric fabric;
         write_marked_steps(fabric, "q", 4, opts);
@@ -304,7 +307,6 @@ fs::path corrupted_stream_dir(const std::string& tag) {
 fp::StreamOptions replay_options(const fs::path& dir, fp::OnDataLoss policy) {
     fp::StreamOptions opts(8);
     opts.durable.dir = dir.string();
-    opts.durable.mode = d::Mode::On;
     opts.durable.replay_history = true;
     opts.on_data_loss = policy;
     return opts;
@@ -373,13 +375,375 @@ TEST_F(DurableTest, QuarantineFailPoisonsTheReader) {
     EXPECT_LE(delivered, 2u);
 }
 
+// ---- enumerated recovery: every truncation, every bit flip -----------------
+//
+// A two-segment log (steps 0..3 in segment 0; steps 4..7 and the Eos frame
+// in segment 1) is damaged in every way a byte-level fault can: cut at
+// every offset of either segment, or any single bit of either segment
+// flipped.  Each damaged copy is reopened and checked against the
+// documented recovery rules (docs/RESILIENCE.md, "Recovery") — which steps
+// survive intact, which are quarantined, which are lost, whether the
+// stream is complete, how many torn bytes are repaired — with exact
+// durable.* counter deltas, and every surviving step of the damaged
+// segment reloads byte for byte.  Each distinct outcome is then replayed
+// through a stream under all three OnDataLoss policies.
+
+namespace {
+
+enum class Fate { Ok, Quarantined, Lost };
+
+constexpr std::uint64_t kSweepSteps = 8;
+constexpr std::uint64_t kPerSegment = 4;
+constexpr std::uint64_t kHeadBytes = 37;                // magic .. crc_head
+constexpr std::uint64_t kEosBytes = kHeadBytes + 8;     // + crc_payload, commit
+constexpr std::uint64_t kMetaLenAt = 21;                // u32 meta_len field
+
+/// What recovery must make of one damaged copy of the sweep log.
+struct Outcome {
+    std::array<Fate, kSweepSteps> fate{};  // all Ok
+    bool complete = true;
+    std::uint64_t torn = 0;
+
+    /// 1 + the highest step the log accounts for: the Eos frame records
+    /// all of them; without it, the highest surviving frame.
+    std::uint64_t next_step() const {
+        if (complete) return kSweepSteps;
+        std::uint64_t next = 0;
+        for (std::uint64_t s = 0; s < kSweepSteps; ++s) {
+            if (fate[s] != Fate::Lost) next = s + 1;
+        }
+        return next;
+    }
+    /// Fates and completeness: everything a stream replay depends on.
+    std::string key() const {
+        std::string k;
+        for (const Fate f : fate) k += "OQL"[static_cast<int>(f)];
+        return k + (complete ? " complete" : " open");
+    }
+};
+
+/// The pristine sweep log: both segment files and the fixed frame shape.
+struct SweepLog {
+    fs::path dir;
+    std::array<std::string, 2> seg;
+    std::uint64_t frame = 0;  // bytes per step frame (equal for every step)
+    std::uint64_t meta = 0;   // metadata bytes per step frame
+
+    fs::path path(int g) const {
+        return dir / ("sweep." + std::to_string(g) + ".sblog");
+    }
+    void write(int g, const std::string& bytes) const {
+        std::ofstream out(path(g), std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    /// Writes both segments: `damaged` as segment g, the other pristine.
+    void install(int g, const std::string& damaged) const {
+        write(g, damaged);
+        write(1 - g, seg[static_cast<std::size_t>(1 - g)]);
+    }
+    std::string payload(std::uint64_t step) const {
+        const std::uint64_t at =
+            (step % kPerSegment) * frame + kHeadBytes + meta;
+        return seg[step / kPerSegment].substr(at, frame - kEosBytes - meta);
+    }
+};
+
+SweepLog build_sweep_log(const std::string& tag) {
+    SweepLog log;
+    log.dir = scratch(tag);
+    const auto write = [&](std::size_t segment_bytes) {
+        fs::remove_all(log.dir);
+        fp::StreamOptions opts(kSweepSteps);
+        opts.durable.dir = log.dir.string();
+        if (segment_bytes > 0) opts.durable.segment_bytes = segment_bytes;
+        fp::Fabric fabric;
+        write_marked_steps(fabric, "sweep", kSweepSteps, opts);
+    };
+    write(0);  // one segment: learn the frame size
+    const std::uint64_t one = fs::file_size(log.path(0));
+    EXPECT_EQ((one - kEosBytes) % kSweepSteps, 0u);
+    log.frame = (one - kEosBytes) / kSweepSteps;
+    write(kPerSegment * log.frame);  // exactly four step frames per segment
+    for (int g = 0; g < 2; ++g) log.seg[static_cast<std::size_t>(g)] = slurp(log.path(g));
+    for (std::size_t i = 0; i < 4; ++i) {
+        log.meta |= std::uint64_t{static_cast<unsigned char>(log.seg[0][kMetaLenAt + i])}
+                    << (8 * i);
+    }
+    return log;
+}
+
+/// Segment g cut to `len` bytes.  Whole frames before the cut survive; in
+/// the last segment the partial frame is a torn tail (repaired, counted,
+/// and the Eos frame with it); in segment 0 it is an unparseable tail.
+Outcome truncation_outcome(const SweepLog& log, int g, std::uint64_t len) {
+    Outcome o;
+    const std::uint64_t whole = std::min(len / log.frame, kPerSegment);
+    for (std::uint64_t k = whole; k < kPerSegment; ++k) {
+        o.fate[g * kPerSegment + k] = Fate::Lost;
+    }
+    if (g == 1) {
+        o.complete = false;
+        o.torn = len - whole * log.frame;
+    }
+    return o;
+}
+
+/// A bit of byte `at` in segment g flipped (which bit does not matter).
+Outcome flip_outcome(const SweepLog& log, int g, std::uint64_t at) {
+    Outcome o;
+    const std::uint64_t k = at / log.frame;
+    if (k >= kPerSegment) {
+        // The Eos frame: only its (empty) payload's checksum is never
+        // consulted; any other flip leaves an unverifiable or uncommitted
+        // tail, truncated as torn, and the stream reads as still open.
+        const std::uint64_t r = at - kPerSegment * log.frame;
+        if (r >= kHeadBytes && r < kHeadBytes + 4) return o;
+        o.complete = false;
+        o.torn = kEosBytes;
+        return o;
+    }
+    const std::uint64_t step = g * kPerSegment + k;
+    const std::uint64_t off = k * log.frame;
+    const std::uint64_t r = at - off;
+    if (r >= kHeadBytes + log.meta) {
+        // Payload, crc_payload, or commit marker: crc_head still vouches
+        // for the header and metadata, so the step is quarantined.
+        o.fate[step] = Fate::Quarantined;
+        return o;
+    }
+    // Magic, header fields, crc_head, or metadata: the frame cannot be
+    // trusted and the scanner resyncs at the next magic, losing the step.
+    // That holds for a meta_len grown past the end of the segment too: a
+    // verifiable frame follows, so it is corruption, not a torn append.
+    o.fate[step] = Fate::Lost;
+    return o;
+}
+
+/// Reopens the installed copy (segment g damaged) and checks it against
+/// `want`; returns a failure description, or "" when recovery matched
+/// exactly.  Every intact step of the damaged segment must reload byte for
+/// byte (the other segment's frames are untouched and checksum-verified).
+std::string check_recovery(const SweepLog& log, int g, const Outcome& want) {
+    const double recovered0 = counter_total("durable.steps_recovered");
+    const double quarantined0 = counter_total("durable.steps_quarantined");
+    const double torn0 = counter_total("durable.torn_bytes");
+    d::Options o;
+    o.dir = log.dir.string();
+    o.replay_history = true;
+    d::Log rec("sweep", o);
+    const d::RecoveryReport& r = rec.recovery();
+
+    Outcome got;
+    got.fate.fill(Fate::Lost);
+    for (const d::RecoveredStep& rs : rec.recovered()) {
+        got.fate[rs.step] = rs.state == d::RecoveredStep::State::Ok ? Fate::Ok
+                                                                   : Fate::Quarantined;
+    }
+    got.complete = r.complete;
+    got.torn = r.torn_bytes;
+    std::uint64_t ok = 0;
+    std::uint64_t quarantined = 0;
+    for (const Fate f : want.fate) {
+        ok += f == Fate::Ok ? 1 : 0;
+        quarantined += f == Fate::Quarantined ? 1 : 0;
+    }
+    std::ostringstream err;
+    if (got.key() != want.key() || got.torn != want.torn) {
+        err << "recovered " << got.key() << " torn " << got.torn << ", want "
+            << want.key() << " torn " << want.torn;
+    } else if (r.next_step != want.next_step()) {
+        err << "next step " << r.next_step << ", want " << want.next_step();
+    } else if (counter_total("durable.steps_recovered") - recovered0 != double(ok) ||
+               counter_total("durable.steps_quarantined") - quarantined0 !=
+                   double(quarantined) ||
+               counter_total("durable.torn_bytes") - torn0 != double(want.torn)) {
+        err << "durable.* counter deltas differ from the report";
+    } else {
+        for (std::uint64_t s = g * kPerSegment; s < (g + 1) * kPerSegment; ++s) {
+            if (want.fate[s] != Fate::Ok) continue;
+            if (str_of(rec.load_step(s).payload) != log.payload(s)) {
+                err << "step " << s << " reloads different bytes";
+                break;
+            }
+        }
+    }
+    return err.str();
+}
+
+struct Replayed {
+    std::vector<std::uint64_t> steps;  // delivered, in order
+    std::vector<std::uint64_t> lossy;  // delivered zero-filled
+    std::optional<std::uint64_t> error_step;
+};
+
+/// Replays the installed copy from step 0 through a stream under `policy`.
+Replayed replay_sweep(const SweepLog& log, fp::OnDataLoss policy) {
+    fp::StreamOptions opts(kSweepSteps);
+    opts.durable.dir = log.dir.string();
+    opts.durable.replay_history = true;
+    opts.on_data_loss = policy;
+    opts.read_ahead = 1;
+    fp::Fabric fabric;
+    const auto stream = fabric.get("sweep");
+    stream->open_durable(opts);
+    // A relaunched writer group with nothing left to publish ends the
+    // stream, whether or not the Eos frame survived.
+    stream->attach_writer(1, opts);
+    stream->close_writer(0);
+    Replayed out;
+    fp::ReaderPort reader(fabric, "sweep", 0, 1);
+    try {
+        while (reader.begin_step()) {
+            const std::uint64_t t = reader.current_step();
+            const bool lossy = reader.step_lossy();
+            out.steps.push_back(t);
+            if (lossy) out.lossy.push_back(t);
+            for (const double x : reader.read<double>("x", u::Box({0}, {4}))) {
+                EXPECT_EQ(x, lossy ? 0.0 : val(t)) << "step " << t;
+            }
+            reader.end_step();
+        }
+    } catch (const d::SpoolError& e) {
+        out.error_step = e.step();
+    }
+    return out;
+}
+
+/// The documented policy outcome for `want`: steps below the log's next
+/// step that are quarantined or lost go through OnDataLoss — Skip drops
+/// them, ZeroFill delivers quarantined ones zero-filled (a lost frame has
+/// no metadata left, so it is dropped), Fail stops at the first one with
+/// its SpoolError.  Lost steps past the next step were never committed.
+void check_policies(const SweepLog& log, int g, const std::string& damaged,
+                    const Outcome& want) {
+    const std::uint64_t next = want.next_step();
+    std::vector<std::uint64_t> ok;
+    std::vector<std::uint64_t> quarantined;
+    std::optional<std::uint64_t> first_bad;
+    for (std::uint64_t s = 0; s < next; ++s) {
+        if (want.fate[s] == Fate::Ok) {
+            ok.push_back(s);
+            continue;
+        }
+        if (want.fate[s] == Fate::Quarantined) quarantined.push_back(s);
+        if (!first_bad) first_bad = s;
+    }
+    SCOPED_TRACE("outcome " + want.key());
+
+    log.install(g, damaged);
+    const Replayed skip = replay_sweep(log, fp::OnDataLoss::Skip);
+    EXPECT_EQ(skip.steps, ok);
+    EXPECT_TRUE(skip.lossy.empty());
+    EXPECT_FALSE(skip.error_step.has_value());
+
+    log.install(g, damaged);
+    const Replayed zero = replay_sweep(log, fp::OnDataLoss::ZeroFill);
+    std::vector<std::uint64_t> kept = ok;
+    kept.insert(kept.end(), quarantined.begin(), quarantined.end());
+    std::sort(kept.begin(), kept.end());
+    EXPECT_EQ(zero.steps, kept);
+    EXPECT_EQ(zero.lossy, quarantined);
+    EXPECT_FALSE(zero.error_step.has_value());
+
+    log.install(g, damaged);
+    const Replayed fail = replay_sweep(log, fp::OnDataLoss::Fail);
+    EXPECT_EQ(fail.error_step.has_value(), first_bad.has_value());
+    if (first_bad && fail.error_step) {
+        EXPECT_EQ(*fail.error_step, *first_bad);
+    }
+    // Delivery stops at the first bad step at the latest (the prefetcher
+    // may surface the error before the reader drains the steps before it).
+    const std::uint64_t limit = first_bad.value_or(next);
+    EXPECT_LE(fail.steps.size(), limit);
+    for (std::size_t i = 0; i < fail.steps.size(); ++i) {
+        EXPECT_EQ(fail.steps[i], i);
+    }
+    if (!first_bad) {
+        EXPECT_EQ(fail.steps, ok);
+    }
+}
+
+/// Damage of one segment, described for failure messages.
+struct Damage {
+    int g = 0;
+    std::string bytes;
+    std::string what;
+};
+
+/// Runs `cases` (segment, damaged bytes, expected outcome) through
+/// check_recovery, then every distinct outcome through check_policies.
+template <typename ForEach>
+void sweep(const SweepLog& log, ForEach for_each_case) {
+    std::map<std::string, std::pair<Damage, Outcome>> classes;
+    int failures = 0;
+    int installed = -1;
+    for_each_case([&](Damage damage, const Outcome& want) {
+        if (failures >= 10) return;
+        if (damage.g != installed) {
+            log.write(1 - damage.g, log.seg[static_cast<std::size_t>(1 - damage.g)]);
+            installed = damage.g;
+        }
+        log.write(damage.g, damage.bytes);
+        const std::string err = check_recovery(log, damage.g, want);
+        if (!err.empty()) {
+            ADD_FAILURE() << damage.what << ": " << err;
+            ++failures;
+        }
+        classes.try_emplace(want.key(), std::move(damage), want);
+    });
+    for (const auto& [key, c] : classes) {
+        SCOPED_TRACE(c.first.what);
+        check_policies(log, c.first.g, c.first.bytes, c.second);
+    }
+}
+
+}  // namespace
+
+TEST_F(DurableTest, EveryTruncationRecoversAsDocumented) {
+    const SweepLog log = build_sweep_log("sb_durable_sweep_cut");
+    ASSERT_EQ(log.seg[0].size(), kPerSegment * log.frame);
+    ASSERT_EQ(log.seg[1].size(), kPerSegment * log.frame + kEosBytes);
+    sweep(log, [&](const auto& visit) {
+        for (int g = 0; g < 2; ++g) {
+            const std::string& seg = log.seg[static_cast<std::size_t>(g)];
+            for (std::uint64_t len = 0; len < seg.size(); ++len) {
+                visit(Damage{g, seg.substr(0, len),
+                             "segment " + std::to_string(g) + " cut at " +
+                                 std::to_string(len)},
+                      truncation_outcome(log, g, len));
+            }
+        }
+    });
+}
+
+TEST_F(DurableTest, EveryBitFlipRecoversAsDocumented) {
+    const SweepLog log = build_sweep_log("sb_durable_sweep_flip");
+    ASSERT_EQ(log.seg[0].size(), kPerSegment * log.frame);
+    ASSERT_EQ(log.seg[1].size(), kPerSegment * log.frame + kEosBytes);
+    sweep(log, [&](const auto& visit) {
+        for (int g = 0; g < 2; ++g) {
+            const std::string& seg = log.seg[static_cast<std::size_t>(g)];
+            for (std::uint64_t at = 0; at < seg.size(); ++at) {
+                for (int bit = 0; bit < 8; ++bit) {
+                    std::string bytes = seg;
+                    bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+                    visit(Damage{g, std::move(bytes),
+                                 "segment " + std::to_string(g) + " byte " +
+                                     std::to_string(at) + " bit " +
+                                     std::to_string(bit)},
+                          flip_outcome(log, g, at));
+                }
+            }
+        }
+    });
+}
+
 // ---- late join and clean replay -------------------------------------------
 
 TEST_F(DurableTest, LateJoiningReaderReplaysFromStepZero) {
     const fs::path dir = scratch("sb_durable_latejoin");
     fp::StreamOptions opts(8);
     opts.durable.dir = dir.string();
-    opts.durable.mode = d::Mode::On;
     {
         fp::Fabric fabric;
         write_marked_steps(fabric, "late", 3, opts);
@@ -401,48 +765,26 @@ TEST_F(DurableTest, LateJoiningReaderReplaysFromStepZero) {
     EXPECT_EQ(t, 3u);  // terminated by the logged EOS, no writer ever attached
 }
 
-// ---- SB_DURABLE off gate ---------------------------------------------------
+// ---- typed reload errors ----------------------------------------------------
 
-TEST_F(DurableTest, ModeOffReproducesTheVolatilePath) {
-    const fs::path dir = scratch("sb_durable_off");
+TEST_F(DurableTest, MissingLogSegmentThrowsTypedError) {
+    const fs::path dir = scratch("sb_durable_segerr");
+    fp::Fabric fabric;
     fp::StreamOptions opts(8);
     opts.durable.dir = dir.string();
-    opts.durable.mode = d::Mode::Off;
-
-    fp::Fabric fabric;
-    write_marked_steps(fabric, "off", 3, opts);
-    EXPECT_TRUE(sblog_files(dir).empty());  // gate off -> no log files
-
-    fp::ReaderPort reader(fabric, "off", 0, 1);
-    std::uint64_t t = 0;
-    while (reader.begin_step()) {
-        const auto v = reader.read<double>("x", u::Box({0}, {4}));
-        for (const double x : v) EXPECT_EQ(x, val(t));
-        reader.end_step();
-        ++t;
-    }
-    EXPECT_EQ(t, 3u);
-}
-
-// ---- typed spool errors (volatile path) ------------------------------------
-
-TEST_F(DurableTest, MissingSpoolFileThrowsTypedError) {
-    const fs::path dir = scratch("sb_durable_spoolerr");
-    fp::Fabric fabric;
-    fp::StreamOptions opts(8, dir.string());  // volatile spool, no durable log
     write_marked_steps(fabric, "gone", 2, opts);
     for (const auto& f : fs::directory_iterator(dir)) fs::remove(f);
 
     fp::ReaderPort reader(fabric, "gone", 0, 1);
     try {
         (void)reader.begin_step();
-        FAIL() << "expected the missing spool file to surface";
+        FAIL() << "expected the missing log segment to surface";
     } catch (const d::SpoolError& e) {
-        EXPECT_NE(std::string(e.what()).find("missing spool file"),
+        EXPECT_NE(std::string(e.what()).find("durable log segment missing"),
                   std::string::npos)
             << e.what();
-        EXPECT_FALSE(e.file().empty());
-        EXPECT_LT(e.step(), 2u);
+        EXPECT_NE(e.file().find("gone."), std::string::npos) << e.file();
+        EXPECT_EQ(e.step(), 0u);
     }
 }
 
@@ -564,7 +906,6 @@ TEST_F(DurableTest, ColdRestartResumesBitIdentically) {
 
     fp::StreamOptions opts(8);
     opts.durable.dir = dir.string();
-    opts.durable.mode = d::Mode::On;
 
     // Run 1: the middle component's rank dies after publishing output step 1
     // but before acknowledging its input; the default Never policy makes the
@@ -631,7 +972,6 @@ TEST_F(DurableTest, ColdRestartNeverDuplicatesSinkRows) {
 
     fp::StreamOptions opts(8);
     opts.durable.dir = dir.string();
-    opts.durable.mode = d::Mode::On;
 
     ft::Registry::global().arm(ft::parse_spec("component.step:histogram=crash@3"));
     {
@@ -661,15 +1001,15 @@ TEST_F(DurableTest, ColdRestartNeverDuplicatesSinkRows) {
 // ---- kill -9 mid-run -------------------------------------------------------
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define SB_DURABLE_NO_FORK 1
+#define SB_NO_FORK_KILL_TEST 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define SB_DURABLE_NO_FORK 1
+#define SB_NO_FORK_KILL_TEST 1
 #endif
 #endif
 
 TEST_F(DurableTest, SigkillAfterFsyncedAppendsRecoversEveryStep) {
-#ifdef SB_DURABLE_NO_FORK
+#ifdef SB_NO_FORK_KILL_TEST
     GTEST_SKIP() << "fork-based kill test disabled under sanitizers";
 #else
     const fs::path dir = scratch("sb_durable_kill");

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "durable/log.hpp"
 #include "fault/fault.hpp"
 #include "flexpath/reader.hpp"
 #include "flexpath/stream.hpp"
@@ -566,6 +567,7 @@ TEST(Flexpath, FreshlyCompiledPlanMatchesCachedRead) {
     });
 
     const double hits0 = counter_total("flexpath.plan_hits");
+    const double misses0 = counter_total("flexpath.plan_misses");
     fp::ReaderPort reader(fabric, "fresh-plan", 0, 1);
     const u::Box box({1, 1}, {6, 6});
     std::uint64_t t = 0;
@@ -586,8 +588,10 @@ TEST(Flexpath, FreshlyCompiledPlanMatchesCachedRead) {
         ++t;
     }
     EXPECT_EQ(t, 2u);
-    // Step 1 replayed the box's plan (and the two block views') from step 0.
-    EXPECT_EQ(counter_total("flexpath.plan_hits") - hits0, 3.0);
+    // Step 1 replayed the box's plan from step 0; the block views compile
+    // no plan at all.
+    EXPECT_EQ(counter_total("flexpath.plan_hits") - hits0, 1.0);
+    EXPECT_EQ(counter_total("flexpath.plan_misses") - misses0, 1.0);
 }
 
 // The copy-plan cache never holds more than kMaxPlans plans, however many
@@ -688,6 +692,25 @@ void write_simple_steps(fp::Fabric& fabric, const std::string& stream,
         port.end_step();
     }
     port.close();
+}
+
+/// Options for a stream of queue `capacity` that parks every step in a
+/// durable log under `dir` (emptied first): one frame per segment and one
+/// acknowledged step retained, so released history is collected.
+fp::StreamOptions logged_options(const std::filesystem::path& dir,
+                                 std::size_t capacity) {
+    std::filesystem::remove_all(dir);
+    fp::StreamOptions opts(capacity);
+    opts.durable.dir = dir.string();
+    opts.durable.segment_bytes = 1;
+    opts.durable.retain_steps = 1;
+    return opts;
+}
+
+/// Step frames still on disk in `dir`'s one stream log.
+std::uint64_t logged_steps(const std::filesystem::path& dir) {
+    const auto reports = sb::durable::scan_dir(dir.string());
+    return reports.empty() ? 0 : reports.at(0).steps_recovered;
 }
 
 template <typename Pred>
@@ -881,17 +904,15 @@ TEST(Pipeline, AbortWithPartiallyConsumedWindow) {
 TEST(Pipeline, SpoolReloadInteractsWithReadAhead) {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "sb_test_spool_ra";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
 
     fp::Fabric fabric;
-    fp::StreamOptions opts(8, dir.string());
+    fp::StreamOptions opts = logged_options(dir, 8);
     opts.read_ahead = 3;
-    const double spool_read0 = counter_total("flexpath.spool_bytes_read");
+    const double read0 = counter_total("durable.bytes_read");
+    const double collected0 = counter_total("durable.segments_collected");
     write_simple_steps(fabric, "spool-ra", 5, opts);
     // All five steps are parked on disk before the reader attaches.
-    EXPECT_EQ(std::distance(fs::directory_iterator(dir), fs::directory_iterator{}),
-              5);
+    EXPECT_EQ(logged_steps(dir), 5u);
 
     fp::ReaderPort reader(fabric, "spool-ra", 0, 1);
     std::uint64_t t = 0;
@@ -902,23 +923,22 @@ TEST(Pipeline, SpoolReloadInteractsWithReadAhead) {
         ++t;
     }
     EXPECT_EQ(t, 5u);
-    EXPECT_GT(counter_total("flexpath.spool_bytes_read") - spool_read0, 0.0);
-    // Spool files are consumed (reloaded and removed) as steps enter the
-    // window, so EOS leaves the directory empty.
-    EXPECT_TRUE(fs::is_empty(dir));
+    EXPECT_GT(counter_total("durable.bytes_read") - read0, 0.0);
+    // Acknowledged segments are collected as steps retire: only the one
+    // retained step (the last) is left on disk.
+    EXPECT_EQ(counter_total("durable.segments_collected") - collected0, 4.0);
+    EXPECT_EQ(logged_steps(dir), 1u);
     fs::remove_all(dir);
 }
 
-// A prefetch failure (spool file vanished) poisons the stream and surfaces
+// A prefetch failure (log segment vanished) poisons the stream and surfaces
 // as the original error on the next acquire instead of hanging the reader.
 TEST(Pipeline, PrefetchFailurePropagatesToAcquire) {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "sb_test_spool_gone";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
 
     fp::Fabric fabric;
-    fp::StreamOptions opts(8, dir.string());
+    fp::StreamOptions opts = logged_options(dir, 8);
     opts.read_ahead = 2;
     write_simple_steps(fabric, "spool-gone", 2, opts);
     for (const auto& f : fs::directory_iterator(dir)) fs::remove(f);
@@ -927,8 +947,8 @@ TEST(Pipeline, PrefetchFailurePropagatesToAcquire) {
     try {
         (void)reader.begin_step();
         FAIL() << "expected the prefetch failure to propagate";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("spool"), std::string::npos)
+    } catch (const fp::SpoolError& e) {
+        EXPECT_NE(std::string(e.what()).find("durable log"), std::string::npos)
             << e.what();
     }
     fs::remove_all(dir);
@@ -1113,18 +1133,16 @@ TEST(Resilience, ZeroFillPolicyKeepsMetadata) {
     EXPECT_EQ(stream->steps_lost(), 4u);
 }
 
-// A spooled stream spills retained steps to disk instead of shedding them:
-// detach/reattach replays everything even with a tiny in-memory bound.
+// A log-backed stream parks retained steps on disk instead of shedding
+// them: detach/reattach replays everything with no in-memory retention.
 TEST(Resilience, SpooledRetentionParksReplayOnDisk) {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "sb_test_spool_retain";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
 
     fp::Fabric fabric;
-    fp::StreamOptions opts(16, dir.string());
+    fp::StreamOptions opts = logged_options(dir, 16);
     opts.read_ahead = 2;
-    opts.retain_steps = 1;  // irrelevant: the spool holds replay material
+    opts.retain_steps = 0;  // irrelevant: the log holds replay material
     opts.on_data_loss = fp::OnDataLoss::Skip;
     write_simple_steps(fabric, "spool-retain", 6, opts);
 
@@ -1140,8 +1158,7 @@ TEST(Resilience, SpooledRetentionParksReplayOnDisk) {
     ASSERT_TRUE(wait_until([&] { return stream->in_flight_steps() == 4; },
                            std::chrono::seconds(10)));
     // Retained data is parked on disk, not held in memory or dropped.
-    EXPECT_GT(std::distance(fs::directory_iterator(dir), fs::directory_iterator{}),
-              0);
+    EXPECT_GE(logged_steps(dir), 4u);
     EXPECT_EQ(stream->steps_lost(), 0u);
 
     fp::ReaderPort reader(fabric, "spool-retain", 0, 1);
@@ -1155,7 +1172,7 @@ TEST(Resilience, SpooledRetentionParksReplayOnDisk) {
     }
     EXPECT_EQ(t, 6u);
     EXPECT_EQ(stream->steps_lost(), 0u);
-    EXPECT_TRUE(fs::is_empty(dir));  // replayed spool files were consumed
+    EXPECT_EQ(logged_steps(dir), 1u);  // replayed history was collected
     fs::remove_all(dir);
 }
 
@@ -1253,21 +1270,19 @@ TEST(Resilience, ReaderLivenessConvertsSilentWriterIntoError) {
 
 // ---- abort-path edge cases -------------------------------------------------
 
-// Aborting while the prefetcher is inside a (slow) spool reload must not
+// Aborting while the prefetcher is inside a (slow) log reload must not
 // hang or crash: the reader unwinds with StreamAborted and the prefetcher
 // notices the abort when the reload returns.
 TEST(Resilience, AbortDuringSpoolReload) {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "sb_test_spool_abort";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
 
     const FaultGuard guard;
     auto& faults = sb::fault::Registry::global();
     faults.arm_from_env("flexpath.spool_reload=delay:80");
 
     fp::Fabric fabric;
-    fp::StreamOptions opts(8, dir.string());
+    fp::StreamOptions opts = logged_options(dir, 8);
     opts.read_ahead = 2;
     write_simple_steps(fabric, "spool-abort", 3, opts);
 

@@ -16,6 +16,7 @@
 #include "core/launch_script.hpp"
 #include "core/registry.hpp"
 #include "core/workflow.hpp"
+#include "durable/log.hpp"
 #include "mpi/runtime.hpp"
 #include "sim/source_component.hpp"
 
@@ -294,7 +295,7 @@ TEST(WorkflowStress, ExpandingAndContractingParallelism) {
     EXPECT_EQ(hists[0].total(), 3600u);  // 60^2 pairwise distances
 }
 
-// ---- disk spooling of buffered steps ------------------------------------------
+// ---- buffered steps parked in the durable log --------------------------------
 
 TEST(SpoolEncoding, BlocksRoundTrip) {
     std::map<std::string, std::vector<fp::Block>> blocks;
@@ -314,17 +315,26 @@ TEST(SpoolEncoding, BlocksRoundTrip) {
     EXPECT_EQ(*back.at("b")[0].data, *buf);
 }
 
+namespace {
+
+/// Step frames on disk in `dir`'s one stream log.
+std::uint64_t logged_steps(const std::string& dir) {
+    const auto reports = sb::durable::scan_dir(dir);
+    return reports.empty() ? 0 : reports.at(0).steps_recovered;
+}
+
+}  // namespace
+
 TEST(Spool, BufferedStepsParkOnDiskAndLoadBack) {
     const std::string dir = tmp("spool_test");
-    std::filesystem::create_directories(dir);
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-        std::filesystem::remove(e.path());
-    }
+    std::filesystem::remove_all(dir);
 
     fp::Fabric fabric;
     fp::StreamOptions opts;
     opts.queue_capacity = 8;
-    opts.spool_dir = dir;
+    opts.durable.dir = dir;
+    opts.durable.segment_bytes = 1;  // one frame per segment
+    opts.durable.retain_steps = 1;
     {
         fp::WriterPort port(fabric, "spooled", 0, 1, opts);
         for (std::uint64_t t = 0; t < 3; ++t) {
@@ -334,12 +344,7 @@ TEST(Spool, BufferedStepsParkOnDiskAndLoadBack) {
             port.end_step();
         }
         // All three steps are buffered: their data must live on disk now.
-        std::size_t files = 0;
-        for (const auto& e : std::filesystem::directory_iterator(dir)) {
-            (void)e;
-            ++files;
-        }
-        EXPECT_EQ(files, 3u);
+        EXPECT_EQ(logged_steps(dir), 3u);
         port.close();
     }
 
@@ -352,19 +357,15 @@ TEST(Spool, BufferedStepsParkOnDiskAndLoadBack) {
         ++t;
     }
     EXPECT_EQ(t, 3u);
-    // Spool files are consumed as steps are acquired.
-    std::size_t files = 0;
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-        (void)e;
-        ++files;
-    }
-    EXPECT_EQ(files, 0u);
+    // Acknowledged segments are collected as steps retire, down to the one
+    // retained step.
+    EXPECT_EQ(logged_steps(dir), 1u);
 }
 
 TEST(Spool, WorkflowProducesIdenticalResults) {
     sim::register_simulations();
     const std::string dir = tmp("spool_wf");
-    std::filesystem::create_directories(dir);
+    std::filesystem::remove_all(dir);  // no history: a fresh run, not a resume
 
     const auto run_with = [&](const fp::StreamOptions& opts, const std::string& file) {
         fp::Fabric fabric;
@@ -378,11 +379,17 @@ TEST(Spool, WorkflowProducesIdenticalResults) {
     run_with(mem, tmp("spool_mem_hist.txt"));
     fp::StreamOptions disk;
     disk.queue_capacity = 4;
-    disk.spool_dir = dir;
+    disk.durable.dir = dir;
     run_with(disk, tmp("spool_disk_hist.txt"));
+    EXPECT_EQ(logged_steps(dir), 4u);  // the disk run went through the log
 
-    EXPECT_EQ(core::read_histogram_file(tmp("spool_mem_hist.txt")),
-              core::read_histogram_file(tmp("spool_disk_hist.txt")));
+    const auto slurp = [](const std::string& path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string mem_bytes = slurp(tmp("spool_mem_hist.txt"));
+    ASSERT_FALSE(mem_bytes.empty());
+    EXPECT_EQ(mem_bytes, slurp(tmp("spool_disk_hist.txt")));
 }
 
 // ---- workflow timeline trace ----------------------------------------------------

@@ -427,6 +427,12 @@ TEST(ObsExport, LargeQueueShowsFarLessBackpressureThanRendezvous) {
     obs::set_enabled(true);
     auto& reg = obs::Registry::global();
 
+    // Publishes that blocked on a full queue, summed over both streams (the
+    // gauges republish each queue's own count after every publish).
+    const auto blocked = [&] {
+        return reg.gauge("flexpath.queue_blocked_pushes", {{"stream", "gmx.fp"}}).value() +
+               reg.gauge("flexpath.queue_blocked_pushes", {{"stream", "m.fp"}}).value();
+    };
     const auto run_with_capacity = [&](std::size_t cap) {
         sb::flexpath::Fabric fabric;
         sb::flexpath::StreamOptions opts;
@@ -435,17 +441,18 @@ TEST(ObsExport, LargeQueueShowsFarLessBackpressureThanRendezvous) {
         wf.add("gromacs", 2, {"atoms=16384", "steps=6", "substeps=2"});
         wf.add("magnitude", 3, {"gmx.fp", "coords", "m.fp", "r"});
         wf.add("histogram", 1, {"m.fp", "r", "8", "/tmp/sb_test_obs_hist2.txt"});
-        const double bp0 = reg.total("flexpath.backpressure_wait_seconds");
+        for (const char* stream : {"gmx.fp", "m.fp"}) {
+            reg.gauge("flexpath.queue_blocked_pushes", {{"stream", stream}}).reset();
+        }
         wf.run();
-        return reg.total("flexpath.backpressure_wait_seconds") - bp0;
+        return blocked();
     };
 
-    const double bp_rendezvous = run_with_capacity(0);
-    const double bp_large = run_with_capacity(64);
-    EXPECT_GT(bp_rendezvous, 0.0);
-    // With a queue deeper than the total step count nothing ever blocks on
-    // a full queue; only the non-blocking bookkeeping time remains.
-    EXPECT_LT(bp_large, bp_rendezvous);
+    // A rendezvous publish always waits for its consumer; a queue deeper
+    // than the whole run never fills.  Counts, unlike wait seconds, do not
+    // stretch or shrink with host load.
+    EXPECT_GT(run_with_capacity(0), 0.0);
+    EXPECT_EQ(run_with_capacity(64), 0.0);
 }
 
 TEST(ObsExport, TraceIsValidJsonWithMetricsDisabled) {
@@ -489,10 +496,12 @@ TEST(ObsExport, FastPathCountersInSteadyWorkflow) {
     const double hits0 = reg.total("flexpath.plan_hits");
     const double zc0 = reg.total("flexpath.zero_copy_reads");
 
+    // Magnitude's two ranks line up with the two writer blocks (views); the
+    // one histogram rank reads across both of magnitude's blocks (a plan).
     sb::flexpath::Fabric fabric;
     sb::core::Workflow wf(fabric);
-    wf.add("gromacs", 1, {"atoms=4096", "steps=4", "substeps=1"});
-    wf.add("magnitude", 1, {"gmx.fp", "coords", "m.fp", "r"});
+    wf.add("gromacs", 2, {"atoms=4096", "steps=4", "substeps=1"});
+    wf.add("magnitude", 2, {"gmx.fp", "coords", "m.fp", "r"});
     wf.add("histogram", 1, {"m.fp", "r", "8", "/tmp/sb_test_obs_hist4.txt"});
     wf.run();
 

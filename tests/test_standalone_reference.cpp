@@ -221,7 +221,9 @@ TEST(StandaloneReference, Select) {
 
 // A standalone select reads its input once per rank per step, not once per
 // selected row: a view of its partition when that is a writer block (at
-// one rank), else a copy of the selected rows' span (at three).
+// one rank), else a copy of the selected rows' span (at three).  Probing
+// for the view compiles no copy plan, so a copying rank compiles exactly
+// one per writer layout.
 TEST(StandaloneReference, SelectReadsOneSlabPerRankPerStep) {
     seed_feed(u::NdShape{40, 5}, {{}, {"a", "b", "c", "d", "e"}});
     auto& reg = sb::obs::Registry::global();
@@ -233,15 +235,21 @@ TEST(StandaloneReference, SelectReadsOneSlabPerRankPerStep) {
         SCOPED_TRACE("nprocs " + std::to_string(np));
         std::vector<std::uint64_t> reads;
         std::vector<std::uint64_t> views;
+        std::vector<std::uint64_t> misses;
         for (int r = 0; r < np; ++r) {
             reads.push_back(count("flexpath.reads", r));
             views.push_back(count("flexpath.zero_copy_reads", r));
+            misses.push_back(count("flexpath.plan_misses", r));
         }
         const auto got =
             run_alone("select", np, {"in.fp", "x", "1", "out.fp", "s", "d", "a", "c"}, "s");
         ASSERT_EQ(got.size(), kSteps);
         for (int r = 0; r < np; ++r) {
             EXPECT_EQ(count("flexpath.reads", r) - reads[r], kSteps) << "rank " << r;
+            // One writer layout: a rank that copies compiles its plan once;
+            // the view probe compiles none (1 rank reads a view, so no plan).
+            EXPECT_EQ(count("flexpath.plan_misses", r) - misses[r], np == 1 ? 0u : 1u)
+                << "rank " << r;
         }
         if (np == 1) {
             EXPECT_EQ(count("flexpath.zero_copy_reads", 0) - views[0], kSteps);
