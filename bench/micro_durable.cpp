@@ -13,6 +13,13 @@
 // repair) against logs of increasing step count, since a cold restart pays
 // this once per stream before the workflow resumes.
 //
+// The crc32c arm times the frame checksum at md_durable's (786 KB) and
+// gtcp's (7.3 MB) step sizes: the portable slicing-by-8 walk against the
+// dispatched crc32c_update (SSE4.2 where the CPU has it).  The reload arm
+// times Log::load_step (one pooled read plus both CRC checks) and runs twice,
+// before every other leg and after them, so a dependence on what earlier
+// legs left in the allocator shows as two different numbers.
+//
 // Usage: micro_durable [--smoke]
 // Writes BENCH_micro_durable.json (see bench_util.hpp JsonReport).
 #include <cstdio>
@@ -24,6 +31,7 @@
 
 #include "bench_util.hpp"
 #include "durable/log.hpp"
+#include "ffs/crc32c.hpp"
 #include "flexpath/reader.hpp"
 #include "flexpath/writer.hpp"
 #include "util/timer.hpp"
@@ -112,6 +120,46 @@ double run_recovery(const fs::path& dir, std::uint64_t steps,
     return seconds;
 }
 
+/// MB/s of `crc` over `bytes` (a fresh buffer of non-trivial content).
+template <typename Crc>
+double crc_mb_per_s(std::size_t bytes, int passes, Crc crc) {
+    std::vector<std::byte> buf(bytes);
+    for (std::size_t i = 0; i < bytes; ++i) buf[i] = std::byte(i * 131 + 7);
+    std::uint32_t state = crc(sb::ffs::crc32c_init(), buf);  // warm the pages
+    u::WallTimer timer;
+    for (int p = 0; p < passes; ++p) state = crc(state, buf);
+    return static_cast<double>(bytes) * passes / timer.seconds() / 1e6;
+}
+
+/// MB/s of Log::load_step over a `steps`-step log of `step_bytes` payloads
+/// (page-cache reads: the log was just written), `passes` times over.
+double run_reload(const fs::path& dir, std::uint64_t steps,
+                  std::size_t step_bytes, int passes) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    d::Options o;
+    o.dir = dir.string();
+    d::Log log("reload", o);
+    sb::ffs::EncodedSegments payload;
+    payload.header.resize(step_bytes, std::byte{0x5A});
+    payload.segments.emplace_back(payload.header);
+    payload.total = payload.header.size();
+    const std::string meta = "bench-meta";
+    const auto meta_bytes =
+        std::as_bytes(std::span<const char>(meta.data(), meta.size()));
+    for (std::uint64_t t = 0; t < steps; ++t) {
+        log.append_step(t, 1, meta_bytes, payload);
+    }
+    std::size_t loaded = 0;
+    u::WallTimer timer;
+    for (int p = 0; p < passes; ++p) {
+        for (std::uint64_t t = 0; t < steps; ++t) {
+            loaded += log.load_step(t).payload.size();
+        }
+    }
+    return static_cast<double>(loaded) / timer.seconds() / 1e6;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,6 +177,25 @@ int main(int argc, char** argv) {
         static_cast<double>(c.elems) * sizeof(double) / 1e6;
     std::printf("1 writer rank -> 1 reader rank, %llu timed steps of %.2f MB\n\n",
                 static_cast<unsigned long long>(c.steps), mb_per_step);
+
+    // Reload arm, first leg: nothing has run in this process yet.
+    const fs::path reload_dir = fresh_dir("reload");
+    const std::uint64_t reload_steps = smoke ? 8 : 32;
+    const int reload_passes = smoke ? 2 : 4;
+    const auto reload_leg = [&](const char* config) {
+        for (int r = 0; r < reps; ++r) {
+            const double mbs = run_reload(reload_dir, reload_steps,
+                                          c.elems * sizeof(double), reload_passes);
+            report.add(config, "load_mb_per_s", mbs);
+            if (r == reps - 1) {
+                std::printf("  %-22s %8.1f MB/s  (Log::load_step, %.2f MB frames)\n",
+                            config, mbs, mb_per_step);
+            }
+        }
+    };
+    std::printf("reload:\n");
+    reload_leg("reload_first");
+    std::printf("\n");
 
     struct Leg {
         const char* name;
@@ -190,10 +257,35 @@ int main(int argc, char** argv) {
         }
     }
 
+    std::printf("\nreload, after every other leg:\n");
+    reload_leg("reload_after_legs");
+
+    std::printf("\ncrc32c (dispatch: %s):\n",
+                sb::ffs::crc32c_uses_hardware() ? "sse4.2" : "portable");
+    const int crc_passes = smoke ? 4 : 32;
+    for (const auto& [label, bytes] :
+         {std::pair<const char*, std::size_t>{"786KB", 786'432},
+          std::pair<const char*, std::size_t>{"7.3MB", 7'300'000}}) {
+        for (int r = 0; r < reps; ++r) {
+            const double portable = crc_mb_per_s(bytes, crc_passes,
+                                                 sb::ffs::crc32c_update_portable);
+            const double dispatched =
+                crc_mb_per_s(bytes, crc_passes, sb::ffs::crc32c_update);
+            report.add(std::string("crc32c_portable_") + label, "mb_per_s", portable);
+            report.add(std::string("crc32c_dispatched_") + label, "mb_per_s",
+                       dispatched);
+            if (r == reps - 1) {
+                std::printf("  %-6s portable %8.1f MB/s  dispatched %8.1f MB/s\n",
+                            label, portable, dispatched);
+            }
+        }
+    }
+
     for (const Leg& leg : legs) {
         if (!leg.opts.durable.dir.empty()) fs::remove_all(leg.opts.durable.dir);
     }
     fs::remove_all(rec_dir);
+    fs::remove_all(reload_dir);
     report.write();
     return 0;
 }

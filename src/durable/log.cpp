@@ -137,6 +137,8 @@ struct SegInfo {
     std::uint64_t bytes = 0;
     std::uint64_t max_step = 0;
     bool has_steps = false;
+    std::uint64_t max_ack = 0;
+    bool has_eos = false;
 };
 
 struct ScanResult {
@@ -299,12 +301,14 @@ ScanResult scan_stream(const std::string& dir, const std::string& safe,
             } else if (kind == kKindAck) {
                 out.acked = std::max(out.acked, step);
                 out.next_step = std::max(out.next_step, step);
+                seg.max_ack = std::max(seg.max_ack, step);
             } else if (kind == kKindEos) {
                 // The Eos frame records how many steps the writer group
                 // published, so a lost final step frame is a gap, not a
                 // silently shorter stream.
                 out.complete = true;
                 out.next_step = std::max(out.next_step, step);
+                seg.has_eos = true;
             } else {
                 out.notes.push_back("segment " + std::to_string(id) +
                                     ": unknown frame kind " +
@@ -395,7 +399,8 @@ Log::Log(std::string stream, Options opts)
                                       : RecoveredStep::State::Ok};
     }
     for (const SegInfo& s : scan.segments) {
-        segments_.push_back(Segment{s.id, s.bytes, s.max_step, s.has_steps});
+        segments_.push_back(
+            Segment{s.id, s.bytes, s.max_step, s.has_steps, s.max_ack, s.has_eos});
     }
     max_layout_gen_ = scan.max_layout_gen;
     last_ack_ = scan.acked;
@@ -481,7 +486,7 @@ void Log::roll_if_needed_locked(std::size_t frame_bytes) {
         return;
     ::close(fd_);
     fd_ = -1;
-    segments_.push_back(Segment{active.id + 1, 0, 0, false});
+    segments_.push_back(Segment{active.id + 1});
     open_active_locked();
 }
 
@@ -628,7 +633,6 @@ void Log::append_step(std::uint64_t step, std::uint64_t layout_gen,
 void Log::append_ack(std::uint64_t upto) {
     std::lock_guard lock(mu_);
     if (upto <= last_ack_) return;
-    last_ack_ = upto;
 
     ffs::Bytes head;
     head.reserve(kHeadBytes);
@@ -646,6 +650,10 @@ void Log::append_ack(std::uint64_t upto) {
 
     roll_if_needed_locked(head.size() + tail.size());
     write_frame_locked(head, {}, tail);
+    // Only an ack frame that landed moves the frontier: collect() keeps the
+    // segment holding it, so the frontier always has a frame on disk.
+    last_ack_ = upto;
+    segments_.back().max_ack = upto;
     maybe_fsync_locked();
     ins_.acks_appended->inc();
     ins_.bytes_appended->add(head.size() + tail.size());
@@ -671,6 +679,7 @@ void Log::append_eos() {
     put_u32(tail, kCommit);
 
     write_frame_locked(head, {}, tail);
+    segments_.back().has_eos = true;
     // The closing marker is always flushed (unless durability is Never):
     // a replayed reader must not spin waiting for a writer that finished.
     if (opts_.fsync != FsyncPolicy::Never) fsync_now_locked();
@@ -696,19 +705,30 @@ LoadedStep Log::load_step(std::uint64_t step) {
                              frame.offset, step);
         }
     }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    // One positioned read of the whole frame into a pooled buffer; the
+    // checks below and the returned views all work on that one copy.  The
+    // buffer is taken before the file is opened, so nothing can throw while
+    // the descriptor is open.
+    util::PooledBytes frame_buf = util::BufferPool::global().acquire(frame.bytes);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
         throw SpoolError("durable log segment missing", path, frame.offset,
                          step);
     }
-    in.seekg(static_cast<std::streamoff>(frame.offset));
-    ffs::Bytes buf(frame.bytes);
-    in.read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-    if (static_cast<std::uint64_t>(in.gcount()) != frame.bytes) {
+    std::uint64_t got = 0;
+    while (got < frame.bytes) {
+        const auto n = ::pread(fd, frame_buf->data() + got, frame.bytes - got,
+                               static_cast<off_t>(frame.offset + got));
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        got += static_cast<std::uint64_t>(n);
+    }
+    ::close(fd);
+    if (got != frame.bytes) {
         throw SpoolError("durable log frame truncated on reload", path,
                          frame.offset, step);
     }
+    const std::span<const std::byte> buf(*frame_buf);
     // Re-verify both checksums on every reload: the log is the only copy of
     // the step now, so bit rot between recovery and reload must not decode.
     if (get_u32(buf, 0) != kMagic ||
@@ -725,18 +745,17 @@ LoadedStep Log::load_step(std::uint64_t step) {
     }
     const std::size_t payload_at = kHeadBytes + meta_len;
     if (!head_crc_matches(buf, 0, meta_len) ||
-        ffs::crc32c(std::span<const std::byte>(buf).subspan(
-            payload_at, payload_len)) != get_u32(buf, payload_at + payload_len)) {
+        ffs::crc32c(buf.subspan(payload_at, payload_len)) !=
+            get_u32(buf, payload_at + payload_len)) {
         throw SpoolError("durable log frame failed CRC on reload", path,
                          frame.offset, step);
     }
     LoadedStep out;
     out.step = step;
     out.layout_gen = get_u64(buf, 13);
-    out.meta.assign(buf.begin() + kHeadBytes, buf.begin() + payload_at);
-    out.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(payload_at),
-                       buf.begin() + static_cast<std::ptrdiff_t>(payload_at +
-                                                                 payload_len));
+    out.meta = buf.subspan(kHeadBytes, meta_len);
+    out.payload = buf.subspan(payload_at, payload_len);
+    out.frame = std::move(frame_buf);
     ins_.bytes_read->add(frame.bytes);
     return out;
 }
@@ -752,10 +771,15 @@ void Log::collect(std::uint64_t pinned_below) {
     for (const Segment& s : segments_) total += s.bytes;
     // Delete oldest-first, stopping at the first segment still holding a
     // live (or retained) step so the surviving log stays contiguous.  The
-    // active segment is never a candidate.
+    // active segment is never a candidate.  A segment of ack frames alone
+    // goes once a newer ack exists; the one holding the newest ack (the
+    // recovery resume point) and the Eos frame stay, and so does a segment
+    // with no frame the scanner recognised (the notes on its damage).
     while (segments_.size() > 1) {
         const Segment& victim = segments_.front();
-        if (!victim.has_steps || victim.max_step >= floor) break;
+        if (victim.has_eos || victim.max_ack == last_ack_) break;
+        if (victim.has_steps ? victim.max_step >= floor : victim.max_ack == 0)
+            break;
         if (opts_.retain_bytes > 0 && total <= opts_.retain_bytes) break;
         std::error_code ec;
         fs::remove(segment_path(victim.id), ec);

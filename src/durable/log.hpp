@@ -44,12 +44,14 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/mutex.hpp"
 #include "ffs/encode.hpp"
+#include "util/pool.hpp"
 
 namespace sb::obs {
 class Counter;
@@ -154,12 +156,16 @@ struct RecoveryReport {
     std::string to_string() const;
 };
 
-/// A loaded step frame (the reader-side reload currency).
+/// A loaded step frame (the reader-side reload currency): the whole frame,
+/// read once into a pooled buffer, with views of its metadata and payload.
+/// The views stay valid for as long as this object (or a copy) holds
+/// `frame`, whatever happens to the log or its segment files meanwhile.
 struct LoadedStep {
     std::uint64_t step = 0;
     std::uint64_t layout_gen = 0;
-    ffs::Bytes meta;
-    ffs::Bytes payload;  // the encode_step_blocks packet
+    util::PooledBytes frame;             // owns the bytes both views point into
+    std::span<const std::byte> meta;
+    std::span<const std::byte> payload;  // the encode_step_blocks packet
 };
 
 /// One stream's durable log: segmented files `<dir>/<stream>.<k>.sblog`.
@@ -204,14 +210,18 @@ public:
     void append_eos();
 
     // ---- reader side -----------------------------------------------------
-    /// Reads step `step` back, re-verifying both checksums.  Throws
+    /// Reads step `step` back with one positioned read into a pooled buffer,
+    /// re-verifying both checksums in place (no further copy).  Throws
     /// SpoolError (file/offset/step context) for a quarantined, missing, or
     /// re-corrupted frame.
     LoadedStep load_step(std::uint64_t step);
 
-    /// Garbage collection: deletes whole segments whose every step is below
-    /// min(acked frontier, `pinned_below`) minus the retention window.
-    /// Never touches the active segment.
+    /// Garbage collection: deletes whole segments, oldest first, whose every
+    /// step is below min(acked frontier, `pinned_below`) minus the retention
+    /// window; a segment with no step frames goes once a newer ack frame
+    /// exists.  Never touches the active segment, the segment holding the
+    /// newest ack frame, or the one holding the Eos frame, so a reopened log
+    /// recovers the same frontier, next step and completion.
     void collect(std::uint64_t pinned_below);
 
     /// Current on-disk size of all segments.
@@ -230,6 +240,8 @@ private:
         std::uint64_t bytes = 0;
         std::uint64_t max_step = 0;
         bool has_steps = false;
+        std::uint64_t max_ack = 0;  // newest ack frontier recorded here (0: none)
+        bool has_eos = false;
     };
 
     std::string segment_path(std::uint64_t seg) const;

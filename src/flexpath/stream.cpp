@@ -1009,9 +1009,9 @@ void Stream::load_logged(StepData& item, bool instr) {
     // Load the frame back by step index (both checksums re-verified; throws
     // SpoolError with file/offset/step context for a quarantined or
     // corrupted frame).  The frame stays in the log for crash recovery
-    // until collected.
-    durable::LoadedStep loaded = log_->load_step(item.step);
-    if (item.meta.empty()) item.meta = std::move(loaded.meta);
+    // until collected; the blocks decode straight from the loaded frame.
+    const durable::LoadedStep loaded = log_->load_step(item.step);
+    if (item.meta.empty()) item.meta.assign(loaded.meta.begin(), loaded.meta.end());
     item.layout_gen = loaded.layout_gen;
     item.blocks = decode_step_blocks(loaded.payload);
     if (instr) {

@@ -1,5 +1,6 @@
-// Tests for sb::durable — the crash-consistent step log: CRC32C vectors,
-// frame round-trips, torn-tail truncation, mid-log corruption quarantine
+// Tests for sb::durable — the crash-consistent step log: CRC32C vectors and
+// the dispatched CRC against its portable oracle, frame round-trips, reloads
+// that outlive their log, collection past ack-only segments, torn-tail truncation, mid-log corruption quarantine
 // through the stream's OnDataLoss policy, an enumerated recovery sweep
 // (every truncation offset and every single-bit flip of a two-segment
 // log), cold-restart bit-identity at the Workflow level, late-join replay,
@@ -33,6 +34,7 @@
 #include "obs/metrics.hpp"
 #include "sim/source_component.hpp"
 #include "util/ndarray.hpp"
+#include "util/pool.hpp"
 
 namespace d = sb::durable;
 namespace f = sb::ffs;
@@ -76,7 +78,7 @@ f::EncodedSegments payload_of(const std::string& s) {
     return segs;
 }
 
-std::string str_of(const f::Bytes& b) {
+std::string str_of(std::span<const std::byte> b) {
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
@@ -152,6 +154,60 @@ TEST(Crc32c, StreamingMatchesOneShot) {
         EXPECT_EQ(sb::ffs::crc32c_final(c), sb::ffs::crc32c(bytes_of(s)))
             << "split at " << split;
     }
+}
+
+/// Deterministic non-trivial bytes (a 64-bit LCG's high bytes).
+std::vector<std::byte> pattern_bytes(std::size_t n) {
+    std::vector<std::byte> out(n);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (std::byte& b : out) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        b = std::byte(x >> 56);
+    }
+    return out;
+}
+
+TEST(Crc32c, DispatchMatchesPortableAtEveryLengthAndAlignment) {
+    constexpr std::size_t kMaxLen = 4096;
+    const std::vector<std::byte> buf = pattern_bytes(kMaxLen + 16);
+    for (std::size_t mis = 0; mis < 16; ++mis) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const std::span<const std::byte> s(buf.data() + mis, len);
+            ASSERT_EQ(sb::ffs::crc32c_update(sb::ffs::crc32c_init(), s),
+                      sb::ffs::crc32c_update_portable(sb::ffs::crc32c_init(), s))
+                << "length " << len << ", misalignment " << mis;
+        }
+    }
+}
+
+TEST(Crc32c, DispatchMatchesPortableOnAGtcpSizedStep) {
+    const std::vector<std::byte> buf = pattern_bytes(7'300'000);
+    EXPECT_EQ(sb::ffs::crc32c_update(sb::ffs::crc32c_init(), buf),
+              sb::ffs::crc32c_update_portable(sb::ffs::crc32c_init(), buf));
+}
+
+TEST(Crc32c, DispatchChainsAcrossEverySplitPoint) {
+    const std::vector<std::byte> buf = pattern_bytes(257);
+    const std::span<const std::byte> all(buf);
+    const std::uint32_t want = sb::ffs::crc32c_final(
+        sb::ffs::crc32c_update_portable(sb::ffs::crc32c_init(), all));
+    for (std::size_t split = 0; split <= all.size(); ++split) {
+        std::uint32_t c = sb::ffs::crc32c_init();
+        c = sb::ffs::crc32c_update(c, all.first(split));
+        c = sb::ffs::crc32c_update(c, all.subspan(split));
+        EXPECT_EQ(sb::ffs::crc32c_final(c), want) << "split at " << split;
+    }
+}
+
+TEST(Crc32c, UsesHardwareExactlyWhenTheCpuHasSse42) {
+#if defined(__x86_64__)
+    // A dispatch that silently fell back to the table walk fails here.
+    __builtin_cpu_init();
+    EXPECT_EQ(sb::ffs::crc32c_uses_hardware(),
+              __builtin_cpu_supports("sse4.2") != 0);
+#else
+    EXPECT_FALSE(sb::ffs::crc32c_uses_hardware());
+#endif
 }
 
 // ---- option parsing --------------------------------------------------------
@@ -890,6 +946,94 @@ TEST_F(DurableTest, CollectDeletesOnlyAckedWholeSegments) {
     const std::size_t before = sblog_files(dir2).size();
     log2.collect(4);
     EXPECT_EQ(sblog_files(dir2).size(), before);
+}
+
+TEST_F(DurableTest, CollectKeepsGoingPastAckOnlySegments) {
+    constexpr std::uint64_t kSteps = 200;
+    // Every frame, ack frames included, rolls into a segment of its own.
+    // Two shapes: a step-count window with each ack after its step, and a
+    // byte window with each ack before the next step, so that the newest
+    // ack frame sits behind a step segment at every collection.
+    struct Case {
+        const char* name;
+        bool ack_first;
+        std::uint64_t collected;  // segments collected by the step loop
+    };
+    for (const Case c : {Case{"steps", false, 1 + 2 * (kSteps - 3)},
+                         Case{"bytes", true, 1 + 2 * (kSteps - 2)}}) {
+        SCOPED_TRACE(c.name);
+        const fs::path dir = scratch(std::string("sb_durable_gc_acks_") + c.name);
+        d::Options o = log_opts(dir);
+        o.segment_bytes = 1;
+        if (c.ack_first) {
+            o.retain_bytes = 1;
+        } else {
+            o.retain_steps = 1;
+        }
+        const double collected0 = counter_total("durable.segments_collected");
+        {
+            d::Log log("gca", o);
+            std::uint64_t steady = 0;
+            for (std::uint64_t t = 0; t < kSteps; ++t) {
+                if (c.ack_first) log.append_ack(t);
+                log.append_step(t, 1, bytes_of("m"), payload_of("payload"));
+                if (!c.ack_first) log.append_ack(t);
+                log.collect(t);
+                if (t == 10) steady = log.log_bytes();
+                if (t > 10) {
+                    ASSERT_LE(log.log_bytes(), steady) << "log grows at step " << t;
+                    ASSERT_LE(sblog_files(dir).size(), 4u) << "at step " << t;
+                }
+            }
+            // Once ack frames reach the oldest segment, each step frees one
+            // step segment and one ack-only segment.
+            EXPECT_EQ(counter_total("durable.segments_collected") - collected0,
+                      double(c.collected));
+            // The writer closes, then the reader retires the last step: the
+            // Eos frame's segment must survive collection past it.
+            log.append_eos();
+            log.append_ack(kSteps);
+            log.collect(kSteps);
+        }
+        d::Log reopened("gca", o);
+        EXPECT_EQ(reopened.next_step(), kSteps);
+        EXPECT_EQ(reopened.acked(), kSteps);
+        EXPECT_TRUE(reopened.complete());
+        EXPECT_EQ(reopened.recovery().steps_quarantined, 0u);
+    }
+}
+
+TEST_F(DurableTest, LoadedStepOutlivesItsSegmentAndTheLog) {
+    // A reload hands out views into one pooled frame buffer; they must stay
+    // valid after the segment is collected and the log destroyed, and the
+    // buffer must not be recycled under them (SB_POOL=off and SB_CHECK=on
+    // run this same test with a plain allocation / a poisoning pool).
+    const fs::path dir = scratch("sb_durable_loaded_lifetime");
+    d::Options o = log_opts(dir);
+    o.segment_bytes = 1;
+    o.retain_steps = 1;
+    const std::string payload(4096, 'q');
+    std::optional<d::Log> log;
+    log.emplace("life", o);
+    for (std::uint64_t t = 0; t < 4; ++t) {
+        log->append_step(t, 5, bytes_of("meta-" + std::to_string(t)),
+                         payload_of(payload + std::to_string(t)));
+    }
+    const d::LoadedStep loaded = log->load_step(1);
+    log->append_ack(4);
+    log->collect(4);  // floor 3: step 1's segment is deleted
+    EXPECT_FALSE(fs::exists(dir / "life.1.sblog"));
+    EXPECT_THROW((void)log->load_step(1), d::SpoolError);
+    log.reset();
+    // Recycle same-sized pool buffers with other bytes meanwhile.
+    for (int i = 0; i < 4; ++i) {
+        const u::PooledBytes other = u::acquire_bytes(loaded.frame->size());
+        std::fill(other->begin(), other->end(), std::byte{0xEE});
+    }
+    EXPECT_EQ(loaded.step, 1u);
+    EXPECT_EQ(loaded.layout_gen, 5u);
+    EXPECT_EQ(str_of(loaded.meta), "meta-1");
+    EXPECT_EQ(str_of(loaded.payload), payload + "1");
 }
 
 // ---- cold restart (whole-process relaunch) ---------------------------------
